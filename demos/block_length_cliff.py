@@ -29,10 +29,10 @@ def main() -> int:
     print("variant,k,n_total,trials,bit_errors,ber,ci_high")
     for variant in SkVariant:
         base = SkConfig(variant=variant, k=44, n_total=132, seed=2718)
-        for k, est in sweep_block_length(base, K_VALUES, rate=1.0 / 3.0, trials=TRIALS):
+        for row in sweep_block_length(base, K_VALUES, rate=1.0 / 3.0, trials=TRIALS):
             print(
-                f"{variant.value},{k},{3 * k},{est.trials},"
-                f"{est.bit_errors},{est.ber!r},{est.ci_high!r}"
+                f"{row.variant},{row.k},{row.n_total},{row.trials},"
+                f"{row.bit_errors},{row.ber!r},{row.ci_high!r}"
             )
     return 0
 

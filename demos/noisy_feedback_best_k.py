@@ -24,12 +24,12 @@ def main() -> int:
     rows = sweep_feedback_snr(base, FEEDBACK_SNRS, CANDIDATES, trials=TRIALS)
 
     print("feedback_snr_db,k,ber,ci_high,is_best")
-    for snr, result in rows:
-        for k, est in result.table:
-            print(f"{snr!r},{k},{est.ber!r},{est.ci_high!r},{k == result.k_star}")
+    for row in rows:
+        print(f"{row.feedback_snr_db!r},{row.k},{row.ber!r},{row.ci_high!r},{row.is_best}")
     print()
-    for snr, result in rows:
-        print(f"feedback {snr:g} dB: best K = {result.k_star} (BER {result.estimate.ber:.3e})")
+    for row in rows:
+        if row.is_best:
+            print(f"feedback {row.feedback_snr_db:g} dB: best K = {row.k} (BER {row.ber:.3e})")
     return 0
 
 

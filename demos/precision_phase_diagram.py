@@ -35,22 +35,22 @@ K_VALUES = (1, 2, 4, 8, 16, 24, 32, 40, 48)
 def main() -> int:
     table = read_reference_table(REFERENCE)
     base = SkConfig(k=1, seed=31415)
-    diagram = sweep_precision_grid(base, PRECISIONS, K_VALUES, table, trials=TRIALS)
+    rows = sweep_precision_grid(base, PRECISIONS, K_VALUES, table, trials=TRIALS)
+    verdicts = {(row.precision_bits, row.k): row.verdict for row in rows}
 
     legend = {"sk_wins": "S", "reference_wins": "R", "tie": "=", "unavailable": "?"}
     print("rows: precision bits, columns: K =", " ".join(f"{k:>3d}" for k in K_VALUES))
     for bits in PRECISIONS:
-        marks = [legend[diagram.verdict(bits, k)] for k in K_VALUES]
+        marks = [legend[verdicts[bits, k]] for k in K_VALUES]
         print(f"{bits:>4d}-bit  " + "   ".join(marks))
     print()
     print("S = SK wins, R = reference wins, = tie (CI overlaps reference)")
     print()
     print("precision_bits,k,ber,ci_low,ci_high,reference_ber,verdict")
-    for cell in diagram.cells:
-        est = cell.estimate
+    for row in rows:
         print(
-            f"{cell.precision_bits},{cell.k},{est.ber!r},{est.ci_low!r},"
-            f"{est.ci_high!r},{cell.reference_ber!r},{cell.verdict}"
+            f"{row.precision_bits},{row.k},{row.ber!r},{row.ci_low!r},"
+            f"{row.ci_high!r},{row.reference_ber!r},{row.verdict}"
         )
     return 0
 

@@ -6,7 +6,7 @@ Library layout:
     precision  emulated reduced-precision floating point
     channel    AWGN channels with counter-based reproducible noise
     codec      the SK recursion (both variants), analytic BER oracle
-    engine     parallel BER estimation and the sweep experiments
+    engine     BER estimation and the sweeps, returning CSV records
     records    CSV records and the external reference-BER table
     cli        the ``skfb`` command-line tool
 """
@@ -16,21 +16,16 @@ __version__ = "0.1.0"
 from .core import (  # noqa: F401
     BitMapping,
     MAX_K,
-    PamSymbol,
     SkConfig,
     SkVariant,
-    bit_errors,
-    decode_symbol,
-    encode_message,
     pam_step,
 )
 from .precision import PrecisionMode, q_add, q_div, q_mul, q_sqrt, q_sub, quantize  # noqa: F401
-from .channel import AwgnChannel, feedback_transmit, make_channels, transmit  # noqa: F401
+from .channel import AwgnChannel, make_channels  # noqa: F401
 from .codec import (  # noqa: F401
     SkState,
     analytic_ber_oracle,
     optimize_gamma,
-    sk_decode,
     sk_init,
     sk_step,
     sk_step_error_recursion,
@@ -38,11 +33,8 @@ from .codec import (  # noqa: F401
 )
 from .engine import (  # noqa: F401
     BerEstimate,
-    BestBlockLength,
-    PhaseCell,
-    PhaseDiagram,
-    ReferenceTable,
     best_block_length,
+    ber_record,
     estimate_ber,
     measure_symbol_power,
     sweep_block_length,
@@ -50,8 +42,8 @@ from .engine import (  # noqa: F401
     sweep_precision_grid,
 )
 from .records import (  # noqa: F401
+    ReferenceTable,
     RunRecord,
-    make_run_record,
     read_reference_table,
     write_csv,
 )

@@ -10,7 +10,7 @@ step is fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -77,15 +77,15 @@ def message_indices(master_seed: int, trial_lo: int, trial_hi: int, k: int) -> n
 class AwgnChannel:
     """One-directional AWGN channel over a block of trials.
 
-    ``transmit`` adds the next step's noise column to its input, drawing
-    from a pre-derived counter-based block so repeated runs (and any
-    worker layout) see identical noise.  ``snr_db = inf`` is a noiseless
-    passthrough.
+    ``transmit(x, step)`` adds column ``step`` of a pre-derived
+    counter-based (trials, steps) noise block to its input, so the noise
+    of each use is a pure function of (seed, role, trial, step) and never
+    of how often the channel was used before.  ``snr_db = inf`` is a
+    noiseless passthrough.
     """
 
     snr_db: float
     noise: np.ndarray | None = None  # (trials, steps) standard normals
-    _cursor: int = field(default=0, repr=False)
 
     @classmethod
     def for_trials(
@@ -106,26 +106,14 @@ class AwgnChannel:
     def noise_std(self) -> float:
         return snr_db_to_noise_std(self.snr_db)
 
-    def transmit(self, x):
-        """y = x + z with z ~ N(0, noise_std^2) from the channel's stream."""
+    def transmit(self, x, step: int):
+        """y = x + z, with z the channel's noise at channel use ``step``."""
         xa = np.asarray(x, dtype=np.float64)
         if not np.all(np.isfinite(xa)):
             raise ValueError("channel input must be finite")
         if self.noise is None:
             return xa
-        z = self.noise[:, self._cursor]
-        self._cursor += 1
-        return xa + self.noise_std * z
-
-
-def transmit(ch: AwgnChannel, x):
-    """Forward-channel use: see :meth:`AwgnChannel.transmit`."""
-    return ch.transmit(x)
-
-
-def feedback_transmit(ch: AwgnChannel, y):
-    """Feedback-channel use of the receiver's output; same contract."""
-    return ch.transmit(y)
+        return xa + self.noise_std * self.noise[:, step]
 
 
 def make_channels(cfg, trial_lo: int, trial_hi: int) -> tuple[AwgnChannel, AwgnChannel]:

@@ -11,31 +11,20 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 from dataclasses import replace
 
 from . import __version__
 from .codec import analytic_ber_oracle, optimize_gamma
 from .core import BitMapping, SkConfig, SkVariant
 from .engine import (
-    BerEstimate,
-    cfg_for_best_k,
-    cfg_for_precision_cell,
-    cfg_for_sweep_k,
-    classify_cell,
-    estimate_ber,
+    ber_record,
+    best_block_length,
+    sweep_block_length,
+    sweep_feedback_snr,
+    sweep_precision_grid,
 )
 from .precision import PrecisionMode
-from .records import (
-    BestKRecord,
-    GammaRecord,
-    OracleRecord,
-    PhaseRecord,
-    RunRecord,
-    make_run_record,
-    read_reference_table,
-    write_csv_of,
-)
+from .records import GammaRecord, OracleRecord, read_reference_table, write_csv
 
 DEFAULT_RATE = 1.0 / 3.0
 DEFAULT_TRIALS = 100_000
@@ -135,87 +124,56 @@ def _config_from_args(args) -> SkConfig:
     )
 
 
-def _emit(args, record_type, records) -> None:
+def _emit(args, records) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_csv_of(record_type, records, fh)
+            write_csv(records, fh)
     else:
-        sys.stdout.write(write_csv_of(record_type, records))
-
-
-def _timed_estimate(cfg: SkConfig, args) -> RunRecord:
-    t0 = time.perf_counter()
-    est = estimate_ber(cfg, args.trials, stop_at_errors=args.stop_at_errors)
-    return make_run_record(
-        cfg, est, time.perf_counter() - t0, stop_at_errors=args.stop_at_errors
-    )
-
-
-def _cmd_ber(args) -> int:
-    record = _timed_estimate(_config_from_args(args), args)
-    _emit(args, RunRecord, [record])
-    return 0
+        sys.stdout.write(write_csv(records))
 
 
 def _k_range(args) -> range:
-    if args.k_max < args.k_min:
-        raise ValueError(f"--k-max {args.k_max} is below --k-min {args.k_min}")
     return range(args.k_min, args.k_max + 1, args.k_step)
+
+
+def _sweep_options(args) -> dict:
+    return dict(rate=_rate_of(args), trials=args.trials, stop_at_errors=args.stop_at_errors)
+
+
+def _cmd_ber(args) -> int:
+    _emit(args, [ber_record(_config_from_args(args), args.trials, args.stop_at_errors)])
+    return 0
 
 
 def _cmd_sweep_k(args) -> int:
     base = _config_from_args(args)
-    rate = _rate_of(args)
-    records = [
-        _timed_estimate(cfg_for_sweep_k(base, k, rate), args) for k in _k_range(args)
-    ]
-    _emit(args, RunRecord, records)
+    _emit(args, sweep_block_length(base, _k_range(args), **_sweep_options(args)))
     return 0
 
 
 def _cmd_sweep_precision(args) -> int:
     base = _config_from_args(args)
-    rate = _rate_of(args)
     reference = read_reference_table(args.reference)
-    records = []
-    for bits in args.precisions:
-        for k in _k_range(args):
-            cfg = cfg_for_precision_cell(base, bits, k, rate)
-            run = _timed_estimate(cfg, args)
-            ref = reference.lookup(bits, base.feedback_snr_db)
-            est = estimate_from_record(run)
-            records.append(
-                PhaseRecord(
-                    **run.__dict__, reference_ber=ref, verdict=classify_cell(est, ref)
-                )
-            )
-    _emit(args, PhaseRecord, records)
+    rows = sweep_precision_grid(
+        base, args.precisions, _k_range(args), reference, **_sweep_options(args)
+    )
+    _emit(args, rows)
     return 0
-
-
-def _best_k_records(args, base: SkConfig, feedback_snr_db: float) -> list[BestKRecord]:
-    rate = _rate_of(args)
-    candidates = sorted(range(args.k_min, args.k_max + 1, args.k_step))
-    runs = [
-        _timed_estimate(cfg_for_best_k(base, feedback_snr_db, k, rate), args)
-        for k in candidates
-    ]
-    best = min(runs, key=lambda r: (r.ber, r.k))  # ties go to the smaller K
-    return [BestKRecord(**run.__dict__, is_best=(run is best)) for run in runs]
 
 
 def _cmd_best_k(args) -> int:
     base = _config_from_args(args)
-    _emit(args, BestKRecord, _best_k_records(args, base, args.feedback_snr_db))
+    rows = best_block_length(base, args.feedback_snr_db, _k_range(args), **_sweep_options(args))
+    _emit(args, rows)
     return 0
 
 
 def _cmd_sweep_feedback(args) -> int:
     base = _config_from_args(args)
-    records = []
-    for snr in args.feedback_snr_list:
-        records.extend(_best_k_records(args, base, snr))
-    _emit(args, BestKRecord, records)
+    rows = sweep_feedback_snr(
+        base, args.feedback_snr_list, _k_range(args), **_sweep_options(args)
+    )
+    _emit(args, rows)
     return 0
 
 
@@ -231,7 +189,7 @@ def _cmd_oracle(args) -> int:
         bit_mapping=cfg.bit_mapping.value,
         oracle_ber=analytic_ber_oracle(cfg),
     )
-    _emit(args, OracleRecord, [record])
+    _emit(args, [record])
     return 0
 
 
@@ -251,21 +209,8 @@ def _cmd_optimize_gamma(args) -> int:
         )
         for g in sorted(grid)
     ]
-    _emit(args, GammaRecord, records)
+    _emit(args, records)
     return 0
-
-
-def estimate_from_record(rec: RunRecord) -> BerEstimate:
-    """Estimate view of a record (for classification against a reference)."""
-    return BerEstimate(
-        k=rec.k,
-        trials=rec.trials,
-        bit_errors=rec.bit_errors,
-        failed_trials=rec.failed_trials,
-        ber=rec.ber,
-        ci_low=rec.ci_low,
-        ci_high=rec.ci_high,
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,7 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "k_step"):
+        if args.k_step < 1:
+            parser.error(f"--k-step must be >= 1, got {args.k_step}")
+        if args.k_max < args.k_min:
+            parser.error(f"--k-max {args.k_max} is below --k-min {args.k_min}")
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

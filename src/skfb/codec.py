@@ -39,10 +39,8 @@ from scipy.special import ndtr
 from . import channel as _channel
 from .core import (
     BitMapping,
-    PamSymbol,
     SkConfig,
     SkVariant,
-    int_to_bits,
     label_of_index,
     pam_step,
     popcount_u64,
@@ -124,30 +122,25 @@ class SkState:
     theta_hat_tx: np.ndarray  # transmitter's tracked copy
     prev_y_fb: np.ndarray  # last feedback output Ytilde_n (quantized)
     failed: np.ndarray  # trials that went non-finite
-    alpha: float  # power scaling used at this step
-    prev_beta: float  # MMSE gain used at this step
-    u_var: float  # tracked Var(U) entering the next step
     step: int  # index of the last channel use, in [0, n_total)
 
 
 def sk_init(theta, cfg: SkConfig, channels) -> SkState:
     """Run the first channel use: X_0 = sqrt(gamma) * theta.
 
-    ``theta`` may be a PamSymbol, a scalar amplitude, or an array of
-    amplitudes (one per trial).  ``channels`` is the (forward, feedback)
-    pair from :func:`skfb.channel.make_channels`.
+    ``theta`` is a scalar amplitude or an array of amplitudes (one per
+    trial).  ``channels`` is the (forward, feedback) pair from
+    :func:`skfb.channel.make_channels`.
     """
-    if isinstance(theta, PamSymbol):
-        theta = theta.value
     mode = cfg.precision
     sched = schedule(cfg)
     forward, feedback = channels
 
     theta_q = np.atleast_1d(quantize(np.asarray(theta, dtype=np.float64), mode))
     x0 = q_mul(sched.sqrt_gamma, theta_q, mode)
-    y0 = quantize(forward.transmit(x0), mode)
+    y0 = quantize(forward.transmit(x0, 0), mode)
     theta_hat_rx = q_div(y0, sched.sqrt_gamma, mode)
-    y0_fb = quantize(feedback.transmit(y0), mode)
+    y0_fb = quantize(feedback.transmit(y0, 0), mode)
     theta_hat_tx = q_div(y0_fb, sched.sqrt_gamma, mode)
     # error-recursion seed U_1 = (Ytilde_0 - X_0) / sqrt(gamma)
     u = q_div(q_sub(y0_fb, x0, mode), sched.sqrt_gamma, mode)
@@ -162,9 +155,6 @@ def sk_init(theta, cfg: SkConfig, channels) -> SkState:
         theta_hat_tx=theta_hat_tx,
         prev_y_fb=y0_fb,
         failed=failed,
-        alpha=sched.sqrt_gamma,
-        prev_beta=0.0,
-        u_var=float(sched.u_var[1]),
         step=0,
     )
 
@@ -182,10 +172,10 @@ def _advance(state: SkState, u_n: np.ndarray, cfg: SkConfig, channels) -> SkStat
     failed = state.failed | ~np.isfinite(x)
     x = np.where(failed, 0.0, x)
 
-    y = quantize(forward.transmit(x), mode)
+    y = quantize(forward.transmit(x, n), mode)
     with np.errstate(invalid="ignore", over="ignore"):
         theta_hat_rx = q_sub(state.theta_hat_rx, q_mul(beta, y, mode), mode)
-        y_fb = quantize(feedback.transmit(y), mode)
+        y_fb = quantize(feedback.transmit(y, n), mode)
         theta_hat_tx = q_sub(state.theta_hat_tx, q_mul(beta, y_fb, mode), mode)
     failed = failed | ~(np.isfinite(theta_hat_rx) & np.isfinite(theta_hat_tx))
 
@@ -196,9 +186,6 @@ def _advance(state: SkState, u_n: np.ndarray, cfg: SkConfig, channels) -> SkStat
         theta_hat_tx=theta_hat_tx,
         prev_y_fb=y_fb,
         failed=failed,
-        alpha=alpha,
-        prev_beta=beta,
-        u_var=float(sched.u_var[n + 1]),
         step=n,
     )
 
@@ -218,8 +205,9 @@ def sk_step_error_recursion(state: SkState, cfg: SkConfig, channels) -> SkState:
     if state.step == 0:
         u_n = state.u  # seeded at init from (Ytilde_0 - X_0) / sqrt(gamma)
     else:
+        prev_beta = float(schedule(cfg).beta[state.step])
         with np.errstate(invalid="ignore", over="ignore"):
-            u_n = q_sub(state.u, q_mul(state.prev_beta, state.prev_y_fb, mode), mode)
+            u_n = q_sub(state.u, q_mul(prev_beta, state.prev_y_fb, mode), mode)
     return _advance(state, u_n, cfg, channels)
 
 
@@ -248,13 +236,6 @@ def decode_indices(state: SkState, cfg: SkConfig) -> tuple[np.ndarray, np.ndarra
     idx = value_to_index(safe, cfg.k)
     idx = np.where(failed, np.uint64(0), idx)
     return idx, failed
-
-
-def sk_decode(state: SkState, cfg: SkConfig) -> np.ndarray:
-    """Decoded bits, shape (trials, k); failed trials give position 0."""
-    idx, _ = decode_indices(state, cfg)
-    labels = label_of_index(idx, cfg.k, cfg.bit_mapping)
-    return np.array([int_to_bits(int(v), cfg.k) for v in np.atleast_1d(labels)])
 
 
 def run_block(cfg: SkConfig, theta, channels) -> tuple[np.ndarray, np.ndarray]:

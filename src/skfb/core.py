@@ -36,14 +36,6 @@ class BitMapping(enum.Enum):
 
 
 @dataclass(frozen=True)
-class PamSymbol:
-    """One constellation point: its amplitude and its position index."""
-
-    value: float
-    index: int
-
-
-@dataclass(frozen=True)
 class SkConfig:
     """Full parameterization of one SK simulation.
 
@@ -73,8 +65,17 @@ class SkConfig:
             object.__setattr__(self, "n_total", 3 * self.k)
         if self.n_total < 1:
             raise ValueError(f"n_total must be >= 1, got {self.n_total}")
+        for name in ("forward_snr_db", "feedback_snr_db"):
+            snr = getattr(self, name)
+            if math.isnan(snr) or snr == -math.inf:
+                raise ValueError(f"{name} must be a number or +inf, got {snr}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if self.n_total == 1 and self.gamma > 1:
+            raise ValueError(
+                f"gamma={self.gamma} exceeds the energy budget of a single use "
+                f"(need gamma <= 1 when n_total == 1)"
+            )
         if self.n_total > 1 and self.gamma >= self.n_total:
             raise ValueError(
                 f"gamma={self.gamma} leaves no power for the remaining "
@@ -104,12 +105,17 @@ def value_to_index(value, k: int):
 
     Accepts scalars or arrays; inputs must be finite (callers are
     responsible for routing non-finite estimates to the failure path).
+    Values beyond either end decode to position 0 or ``index_mask(k)``.
+    Beyond K=53 adjacent positions are not distinct in binary64, so the
+    nearest position is only resolved to within the float spacing there.
     """
     t = (np.asarray(value, dtype=np.float64) / pam_step(k) + (2.0**k - 1.0)) / 2.0
     # ceil(t - 1/2) rounds to nearest with half-way cases going down
     m = np.ceil(t - 0.5)
-    m = np.clip(m, 0.0, 2.0**k - 1.0)
-    return m.astype(np.uint64)
+    # 2^k - 1 rounds up to 2^k in float64 for k >= 54, so the top end is
+    # clipped in the integer domain; the float clip only keeps the cast valid
+    idx = np.clip(m, 0.0, np.nextafter(2.0**k, 0.0)).astype(np.uint64)
+    return np.where(m >= 2.0**k, index_mask(k), idx)
 
 
 def index_mask(k: int) -> np.uint64:
@@ -143,56 +149,6 @@ def index_of_label(label, k: int, mapping: BitMapping):
     if mapping is BitMapping.NATURAL:
         return np.asarray(label, dtype=np.uint64)
     return gray_decode(label)
-
-
-def bits_to_int(bits) -> int:
-    """Pack an MSB-first bit sequence into an integer."""
-    v = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {b!r}")
-        v = (v << 1) | int(b)
-    return v
-
-
-def int_to_bits(value: int, k: int) -> np.ndarray:
-    """Unpack an integer into its MSB-first k-bit representation."""
-    return np.array([(int(value) >> (k - 1 - i)) & 1 for i in range(k)], dtype=np.uint8)
-
-
-def encode_message(bits, mapping: BitMapping = BitMapping.NATURAL) -> PamSymbol:
-    """Map K information bits to their PAM constellation point."""
-    k = len(bits)
-    if not 1 <= k <= MAX_K:
-        raise ValueError(f"message length must be in [1, {MAX_K}], got {k}")
-    label = bits_to_int(bits)
-    index = int(index_of_label(label, k, mapping))
-    return PamSymbol(value=float(index_to_value(index, k)), index=index)
-
-
-def decode_symbol(theta_hat: float, k: int, mapping: BitMapping = BitMapping.NATURAL) -> np.ndarray:
-    """Bits of the constellation point nearest to ``theta_hat``.
-
-    Non-finite estimates decode to position 0 (the caller flags such
-    trials as numerically failed).
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not math.isfinite(theta_hat):
-        index = 0
-    else:
-        index = int(value_to_index(theta_hat, k))
-    label = int(label_of_index(index, k, mapping))
-    return int_to_bits(label, k)
-
-
-def bit_errors(sent, decoded) -> int:
-    """Hamming distance between two equal-length bit sequences."""
-    if len(sent) != len(decoded):
-        raise ValueError(
-            f"length mismatch: {len(sent)} vs {len(decoded)} bits"
-        )
-    return int(sum(int(a) ^ int(b) for a, b in zip(sent, decoded)))
 
 
 def popcount_u64(a) -> np.ndarray:

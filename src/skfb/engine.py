@@ -1,16 +1,20 @@
-"""Deterministic parallel Monte Carlo BER estimation and sweeps.
+"""Deterministic parallel Monte Carlo BER estimation and the sweeps.
 
 Trials are embarrassingly parallel: noise and messages for trial ``i``
 are pure functions of (config seed, i), so the engine splits work into
 fixed-size chunks, maps them over a thread pool, and merges integer
 counts.  Results are bit-identical for any worker count; the
 ``SKFB_THREADS`` environment variable caps the pool size.
+
+Each sweep is the one implementation of its experiment: it returns the
+CSV rows the command-line tool prints, one timed row per cell.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -20,6 +24,7 @@ from . import channel as _channel
 from . import codec as _codec
 from .core import SkConfig, index_of_label, index_to_value, label_of_index, popcount_u64
 from .precision import PrecisionMode, q_mul
+from .records import BestKRecord, PhaseRecord, ReferenceTable, RunRecord
 
 CHUNK_TRIALS = 1 << 15  # fixed so results never depend on worker layout
 
@@ -90,7 +95,8 @@ def _run_chunk(cfg: SkConfig, lo: int, hi: int, power_steps=()) -> dict:
         state = _codec.sk_step(state, cfg, channels)
         if state.step in power_steps:
             # reconstruct this step's transmitted symbol (failed trials sent 0)
-            x = q_mul(state.alpha, state.u, cfg.precision)
+            alpha = float(_codec.schedule(cfg).alpha[state.step])
+            x = q_mul(alpha, state.u, cfg.precision)
             x = np.where(state.failed | ~np.isfinite(x), 0.0, x)
             power[state.step] = (float(np.sum(x * x)), float(np.sum(x**4)))
     idx, failed = _codec.decode_indices(state, cfg)
@@ -169,6 +175,36 @@ def estimate_ber(
     return _make_estimate(cfg, totals["trials"], totals["bit_errors"], totals["failed"])
 
 
+def ber_record(
+    cfg: SkConfig,
+    trials: int,
+    stop_at_errors: int | None = None,
+    workers: int | None = None,
+) -> RunRecord:
+    """:func:`estimate_ber` of ``cfg`` as one CSV row, with its wall time."""
+    t0 = time.perf_counter()
+    est = estimate_ber(cfg, trials, stop_at_errors=stop_at_errors, workers=workers)
+    return RunRecord(
+        variant=cfg.variant.value,
+        k=cfg.k,
+        n_total=cfg.n_total,
+        forward_snr_db=cfg.forward_snr_db,
+        feedback_snr_db=cfg.feedback_snr_db,
+        precision_bits=cfg.precision.width,
+        gamma=cfg.gamma,
+        seed=cfg.seed,
+        bit_mapping=cfg.bit_mapping.value,
+        trials=est.trials,
+        stop_at_errors=stop_at_errors,
+        bit_errors=est.bit_errors,
+        failed_trials=est.failed_trials,
+        ber=est.ber,
+        ci_low=est.ci_low,
+        ci_high=est.ci_high,
+        wall_time_seconds=time.perf_counter() - t0,
+    )
+
+
 def measure_symbol_power(
     cfg: SkConfig, trials: int, steps, workers: int | None = None
 ) -> dict[int, tuple[float, float]]:
@@ -244,28 +280,19 @@ def sweep_block_length(
     k_range,
     rate: float | None = None,
     trials: int = 100_000,
+    stop_at_errors: int | None = None,
     workers: int | None = None,
-) -> list[tuple[int, BerEstimate]]:
-    """Per-K BER at fixed rate (default: the base config's rate)."""
+) -> list[RunRecord]:
+    """One row per K at fixed rate (default: the base config's rate)."""
     k_values = list(k_range)
     if not k_values:
         raise ValueError("k_range must be non-empty")
     if rate is None:
         rate = base_cfg.rate
     return [
-        (int(k), estimate_ber(cfg_for_sweep_k(base_cfg, k, rate), trials, workers=workers))
+        ber_record(cfg_for_sweep_k(base_cfg, k, rate), trials, stop_at_errors, workers)
         for k in k_values
     ]
-
-
-@dataclass(frozen=True)
-class ReferenceTable:
-    """External (precision, feedback SNR) -> reference BER baseline."""
-
-    rows: dict[tuple[int, float], float]
-
-    def lookup(self, precision_bits: int, feedback_snr_db: float) -> float | None:
-        return self.rows.get((precision_bits, feedback_snr_db))
 
 
 SK_WINS = "sk_wins"
@@ -274,29 +301,8 @@ TIE = "tie"
 UNAVAILABLE = "unavailable"
 
 
-@dataclass(frozen=True)
-class PhaseCell:
-    """One (precision, K) comparison against the reference baseline."""
-
-    precision_bits: int
-    k: int
-    estimate: BerEstimate
-    reference_ber: float | None
-    verdict: str
-
-
-@dataclass(frozen=True)
-class PhaseDiagram:
-    cells: list[PhaseCell]
-
-    def verdict(self, precision_bits: int, k: int) -> str:
-        for cell in self.cells:
-            if cell.precision_bits == precision_bits and cell.k == k:
-                return cell.verdict
-        raise KeyError((precision_bits, k))
-
-
-def classify_cell(estimate: BerEstimate, reference_ber: float | None) -> str:
+def classify_cell(estimate, reference_ber: float | None) -> str:
+    """Verdict of a BerEstimate or RunRecord against a reference BER."""
     if reference_ber is None:
         return UNAVAILABLE
     if estimate.ci_high < reference_ber:
@@ -313,40 +319,25 @@ def sweep_precision_grid(
     reference: ReferenceTable,
     trials: int = 100_000,
     rate: float | None = None,
+    stop_at_errors: int | None = None,
     workers: int | None = None,
-) -> PhaseDiagram:
-    """SK-vs-reference win/loss grid over (precision, block length)."""
+) -> list[PhaseRecord]:
+    """SK-vs-reference rows over (precision, block length), precision-major."""
     k_values = list(k_range)
     precisions = list(precisions)
     if not k_values or not precisions:
         raise ValueError("precision and K grids must be non-empty")
     if rate is None:
         rate = base_cfg.rate
-    cells = []
+    rows = []
     for bits in precisions:
+        ref = reference.lookup(int(bits), base_cfg.feedback_snr_db)
         for k in k_values:
             cfg = cfg_for_precision_cell(base_cfg, bits, k, rate)
-            est = estimate_ber(cfg, trials, workers=workers)
-            ref = reference.lookup(int(bits), base_cfg.feedback_snr_db)
-            cells.append(
-                PhaseCell(
-                    precision_bits=int(bits),
-                    k=int(k),
-                    estimate=est,
-                    reference_ber=ref,
-                    verdict=classify_cell(est, ref),
-                )
-            )
-    return PhaseDiagram(cells=cells)
-
-
-@dataclass(frozen=True)
-class BestBlockLength:
-    """argmin-BER block length with the full per-candidate table."""
-
-    k_star: int
-    estimate: BerEstimate
-    table: list[tuple[int, BerEstimate]]
+            run = ber_record(cfg, trials, stop_at_errors, workers)
+            verdict = classify_cell(run, ref)
+            rows.append(PhaseRecord(**vars(run), reference_ber=ref, verdict=verdict))
+    return rows
 
 
 def best_block_length(
@@ -355,23 +346,22 @@ def best_block_length(
     k_candidates,
     trials: int = 100_000,
     rate: float | None = None,
+    stop_at_errors: int | None = None,
     workers: int | None = None,
-) -> BestBlockLength:
-    """Best K (ties to the smaller) at one feedback SNR, fixed rate."""
+) -> list[BestKRecord]:
+    """One row per candidate K at one feedback SNR, in ascending K.
+
+    ``is_best`` marks the lowest BER; ties go to the smaller K.
+    """
     candidates = sorted(set(int(k) for k in k_candidates))
     if not candidates:
         raise ValueError("k_candidates must be non-empty")
     if rate is None:
         rate = base_cfg.rate
-    table = []
-    best = None
-    for k in candidates:
-        cfg = cfg_for_best_k(base_cfg, feedback_snr_db, k, rate)
-        est = estimate_ber(cfg, trials, workers=workers)
-        table.append((k, est))
-        if best is None or est.ber < best[1].ber:
-            best = (k, est)
-    return BestBlockLength(k_star=best[0], estimate=best[1], table=table)
+    cells = [cfg_for_best_k(base_cfg, feedback_snr_db, k, rate) for k in candidates]
+    runs = [ber_record(cfg, trials, stop_at_errors, workers) for cfg in cells]
+    best = min(runs, key=lambda r: r.ber)  # the first minimum has the smallest K
+    return [BestKRecord(**vars(run), is_best=run is best) for run in runs]
 
 
 def sweep_feedback_snr(
@@ -380,18 +370,17 @@ def sweep_feedback_snr(
     k_candidates,
     trials: int = 100_000,
     rate: float | None = None,
+    stop_at_errors: int | None = None,
     workers: int | None = None,
-) -> list[tuple[float, BestBlockLength]]:
-    """best_block_length at each feedback SNR of ``snr_list``."""
+) -> list[BestKRecord]:
+    """The rows of :func:`best_block_length` at each SNR of ``snr_list``."""
     snrs = list(snr_list)
     if not snrs:
         raise ValueError("snr_list must be non-empty")
     return [
-        (
-            float(snr),
-            best_block_length(
-                base_cfg, float(snr), k_candidates, trials=trials, rate=rate, workers=workers
-            ),
-        )
+        row
         for snr in snrs
+        for row in best_block_length(
+            base_cfg, float(snr), k_candidates, trials, rate, stop_at_errors, workers
+        )
     ]

@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields
 
 from . import __version__
 from .core import BitMapping, SkConfig, SkVariant
-from .engine import BerEstimate, ReferenceTable
 from .precision import PrecisionMode
 
 
@@ -41,33 +40,6 @@ class RunRecord:
     ci_high: float
     wall_time_seconds: float
     tool_version: str = __version__
-
-
-def make_run_record(
-    cfg: SkConfig,
-    est: BerEstimate,
-    wall_time_seconds: float,
-    stop_at_errors: int | None = None,
-) -> RunRecord:
-    return RunRecord(
-        variant=cfg.variant.value,
-        k=cfg.k,
-        n_total=cfg.n_total,
-        forward_snr_db=cfg.forward_snr_db,
-        feedback_snr_db=cfg.feedback_snr_db,
-        precision_bits=cfg.precision.width,
-        gamma=cfg.gamma,
-        seed=cfg.seed,
-        bit_mapping=cfg.bit_mapping.value,
-        trials=est.trials,
-        stop_at_errors=stop_at_errors,
-        bit_errors=est.bit_errors,
-        failed_trials=est.failed_trials,
-        ber=est.ber,
-        ci_low=est.ci_low,
-        ci_high=est.ci_high,
-        wall_time_seconds=wall_time_seconds,
-    )
 
 
 @dataclass(frozen=True)
@@ -138,23 +110,18 @@ def _format_value(v) -> str:
 
 
 def write_csv(records, stream=None, record_type=None) -> str:
-    """Serialize homogeneous dataclass records; returns the CSV text.
+    """Header plus one row per record; returns the CSV text.
 
-    ``record_type`` may be given explicitly so that an empty record list
-    still yields its header row; otherwise the type is inferred from the
-    first record.
+    All records must be of one dataclass type.  ``record_type`` may be
+    given explicitly so that an empty record list still yields its header
+    row; otherwise the type is that of the first record.  With ``stream``
+    the text is written there and the empty string is returned.
     """
     records = list(records)
     if record_type is None:
         if not records:
             raise ValueError("cannot infer the header of an empty record list")
         record_type = type(records[0])
-    return write_csv_of(record_type, records, stream)
-
-
-def write_csv_of(record_type, records, stream=None) -> str:
-    """Header plus one row per record of ``record_type``."""
-    records = list(records)
     for rec in records:
         if type(rec) is not record_type:
             raise ValueError(
@@ -170,38 +137,14 @@ def write_csv_of(record_type, records, stream=None) -> str:
     return out.getvalue() if stream is None else ""
 
 
-def _parse_optional_int(s: str) -> int | None:
-    return int(s) if s else None
+@dataclass(frozen=True)
+class ReferenceTable:
+    """External (precision, feedback SNR) -> reference BER baseline."""
 
+    rows: dict[tuple[int, float], float]
 
-def read_run_records(stream) -> list[RunRecord]:
-    """Parse rows previously produced by ``write_csv`` of RunRecord."""
-    reader = csv.DictReader(stream)
-    out = []
-    for row in reader:
-        out.append(
-            RunRecord(
-                variant=row["variant"],
-                k=int(row["k"]),
-                n_total=int(row["n_total"]),
-                forward_snr_db=float(row["forward_snr_db"]),
-                feedback_snr_db=float(row["feedback_snr_db"]),
-                precision_bits=int(row["precision_bits"]),
-                gamma=float(row["gamma"]),
-                seed=int(row["seed"]),
-                bit_mapping=row["bit_mapping"],
-                trials=int(row["trials"]),
-                stop_at_errors=_parse_optional_int(row["stop_at_errors"]),
-                bit_errors=int(row["bit_errors"]),
-                failed_trials=int(row["failed_trials"]),
-                ber=float(row["ber"]),
-                ci_low=float(row["ci_low"]),
-                ci_high=float(row["ci_high"]),
-                wall_time_seconds=float(row["wall_time_seconds"]),
-                tool_version=row["tool_version"],
-            )
-        )
-    return out
+    def lookup(self, precision_bits: int, feedback_snr_db: float) -> float | None:
+        return self.rows.get((precision_bits, feedback_snr_db))
 
 
 REFERENCE_HEADER = ["precision_bits", "feedback_snr_db", "reference_ber"]

@@ -68,7 +68,7 @@ def test_criterion_3_precision_cliff_and_variant_ordering():
     for variant in SkVariant:
         base = SkConfig(variant=variant, k=40, n_total=120, seed=303)
         rows = sweep_block_length(base, k_values, rate=1.0 / 3.0, trials=trials)
-        bers = {k: est.ber for k, est in rows}
+        bers = {row.k: row.ber for row in rows}
         # zero-error cells contribute their resolution floor to the span
         low = min(max(ber, 1.0 / (trials * k)) for k, ber in bers.items())
         high = max(bers.values())
@@ -112,10 +112,11 @@ def test_criterion_5_noisy_feedback_best_k():
     ok = True
     details = []
     best_bers = []
-    for snr, res in rows:
-        ok = ok and abs(res.k_star - expected[snr]) <= 1
-        best_bers.append(res.estimate.ber)
-        details.append(f"{snr:g}dB: K*={res.k_star} ber={res.estimate.ber:.2e}")
+    for best in (row for row in rows if row.is_best):
+        snr = best.feedback_snr_db
+        ok = ok and abs(best.k - expected[snr]) <= 1
+        best_bers.append(best.ber)
+        details.append(f"{snr:g}dB: K*={best.k} ber={best.ber:.2e}")
     ok = ok and best_bers[0] > best_bers[1] > best_bers[2]
     _criterion(5, "noisy-feedback best block length", ok, "; ".join(details))
 

@@ -9,15 +9,11 @@ from skfb.channel import (
     ROLE_FEEDBACK,
     ROLE_FORWARD,
     AwgnChannel,
-    feedback_transmit,
-    make_channels,
     message_indices,
     raw_stream,
     snr_db_to_noise_std,
     standard_normals,
-    transmit,
 )
-from skfb.core import SkConfig
 
 SEED = 0xFEEDBEEF
 
@@ -25,13 +21,13 @@ SEED = 0xFEEDBEEF
 def test_noiseless_passthrough():
     ch = AwgnChannel.for_trials(math.inf, SEED, ROLE_FORWARD, 0, 4, 3)
     x = np.array([0.5, -1.0, 2.0, 0.0])
-    assert np.array_equal(ch.transmit(x), x)
+    assert np.array_equal(ch.transmit(x, 2), x)
     assert ch.noise_std == 0.0
 
 
 def test_zero_db_noise_variance():
     ch = AwgnChannel.for_trials(0.0, SEED, ROLE_FORWARD, 0, 1_000_000, 1)
-    y = ch.transmit(np.zeros(1_000_000))
+    y = ch.transmit(np.zeros(1_000_000), 0)
     assert np.var(y) == pytest.approx(1.0, abs=0.01)
     assert np.mean(y) == pytest.approx(0.0, abs=0.01)
 
@@ -70,31 +66,27 @@ def test_empirical_snr_convention():
     n = 200_000
     ch = AwgnChannel.for_trials(10.0, SEED, ROLE_FORWARD, 0, n, 1)
     x = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-    y = ch.transmit(x)
+    y = ch.transmit(x, 0)
     assert np.var(y - x) == pytest.approx(0.1, rel=0.03)
 
 
 def test_transmit_rejects_non_finite():
     ch = AwgnChannel.for_trials(0.0, SEED, ROLE_FORWARD, 0, 2, 1)
     with pytest.raises(ValueError):
-        ch.transmit(np.array([1.0, np.nan]))
+        ch.transmit(np.array([1.0, np.nan]), 0)
     ch2 = AwgnChannel.for_trials(math.inf, SEED, ROLE_FORWARD, 0, 2, 1)
     with pytest.raises(ValueError):
-        ch2.transmit(np.inf)
+        ch2.transmit(np.inf, 0)
 
 
 def test_transmit_consumes_steps_in_order():
+    # use n reads noise column n, whatever was transmitted before
     noise = np.arange(6, dtype=np.float64).reshape(2, 3)
     ch = AwgnChannel(snr_db=0.0, noise=noise)
-    assert np.array_equal(ch.transmit(np.zeros(2)), [0.0, 3.0])
-    assert np.array_equal(ch.transmit(np.zeros(2)), [1.0, 4.0])
-
-
-def test_module_level_helpers_delegate():
-    fwd, fb = make_channels(SkConfig(k=2, n_total=6, seed=SEED), 0, 5)
-    y = transmit(fwd, np.zeros(5))
-    assert y.shape == (5,)
-    assert np.array_equal(feedback_transmit(fb, y), y)  # noiseless feedback
+    assert np.array_equal(ch.transmit(np.zeros(2), 0), [0.0, 3.0])
+    assert np.array_equal(ch.transmit(np.zeros(2), 1), [1.0, 4.0])
+    assert np.array_equal(ch.transmit(np.zeros(2), 0), [0.0, 3.0])
+    assert np.array_equal(ch.transmit(np.ones(2), 2), [3.0, 6.0])
 
 
 def test_raw_stream_requires_alignment():

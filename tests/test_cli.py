@@ -67,6 +67,28 @@ def test_usage_errors_exit_2():
         assert "usage" in proc.stderr.lower()
 
 
+@pytest.mark.parametrize("command", ["sweep-k", "sweep-precision", "best-k", "sweep-feedback"])
+@pytest.mark.parametrize(
+    "k_args, message",
+    [
+        (["--k-min", "1", "--k-max", "3", "--k-step", "0"], "--k-step"),
+        (["--k-min", "1", "--k-max", "3", "--k-step", "-1"], "--k-step"),
+        (["--k-min", "3", "--k-max", "1"], "--k-max"),
+    ],
+)
+def test_bad_k_range_is_a_usage_error(command, k_args, message, capsys):
+    extra = {
+        "sweep-precision": ["--reference", "/nonexistent/ref.csv"],
+        "sweep-feedback": ["--feedback-snr-list", "20"],
+    }.get(command, [])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *k_args, *extra, "--trials", "10"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage" in captured.err.lower() and message in captured.err
+
+
 def test_runtime_error_exits_1(capsys):
     code = main(
         ["sweep-precision", "--k-min", "1", "--k-max", "1", "--trials", "10",
@@ -113,8 +135,8 @@ def test_best_k_matches_engine(capsys):
     assert len(rows) == 4
     marked = [int(r["k"]) for r in rows if r["is_best"] == "True"]
     assert len(marked) == 1
-    res = best_block_length(SkConfig(k=1, seed=3), 23.0, range(1, 5), trials=20_000)
-    assert marked[0] == res.k_star
+    engine_rows = best_block_length(SkConfig(k=1, seed=3), 23.0, range(1, 5), trials=20_000)
+    assert marked == [r.k for r in engine_rows if r.is_best]
 
 
 def test_sweep_feedback_rows(capsys):

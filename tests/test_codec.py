@@ -13,7 +13,7 @@ from skfb.codec import (
     decode_indices,
     optimize_gamma,
     run_block,
-    sk_decode,
+    schedule,
     sk_init,
     sk_step,
     sk_step_error_recursion,
@@ -22,10 +22,8 @@ from skfb.codec import (
 )
 from skfb.core import (
     BitMapping,
-    PamSymbol,
     SkConfig,
     SkVariant,
-    encode_message,
     index_of_label,
     index_to_value,
     label_of_index,
@@ -134,18 +132,15 @@ def test_init_state_examples():
     assert state.step == 0
     # gamma=2 at 0 dB: tracked variance is 0.5
     cfg2 = SkConfig(k=2, n_total=6, gamma=2.0, seed=5)
-    state2 = sk_init(index_to_value(np.arange(4), 2), cfg2, make_channels(cfg2, 0, 4))
-    assert state2.u_var == pytest.approx(0.5, abs=1e-15)
+    assert schedule(cfg2).u_var[1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_tracked_variance_halves_per_step_at_zero_db():
     cfg = SkConfig(k=3, n_total=9, seed=2)
-    channels = make_channels(cfg, 0, 16)
-    state = sk_init(index_to_value(np.arange(16) % 8, 3), cfg, channels)
-    assert state.u_var == pytest.approx(1.0)
+    u_var = schedule(cfg).u_var
+    assert u_var[1] == pytest.approx(1.0)
     for n in range(1, cfg.n_total - 1):
-        state = sk_step(state, cfg, channels)
-        assert state.u_var == pytest.approx(2.0**-n, rel=1e-12), f"step {n}"
+        assert u_var[n + 1] == pytest.approx(2.0**-n, rel=1e-12), f"step {n}"
 
 
 def test_tracked_variance_matches_empirical():
@@ -159,7 +154,7 @@ def test_tracked_variance_matches_empirical():
         state = sk_step(state, cfg, channels)
         err = state.theta_hat_rx - theta
         empirical = float(np.var(err))
-        tracked = state.u_var
+        tracked = schedule(cfg).u_var[n + 1]
         assert empirical == pytest.approx(tracked, rel=0.05), f"step {n}"
 
 
@@ -219,8 +214,8 @@ def test_non_finite_state_decodes_to_zero_and_flags():
     idx, failed = decode_indices(state, cfg)
     assert list(idx) == [5, 0, 0, 1]
     assert list(failed) == [False, True, True, False]
-    bits = sk_decode(state, cfg)
-    assert list(bits[1]) == [0, 0, 0]
+    labels = label_of_index(idx, cfg.k, cfg.bit_mapping)
+    assert list(labels) == [5, 0, 0, 1]
 
 
 def test_decode_tolerates_sub_half_gap_perturbation():
@@ -238,12 +233,6 @@ def test_decode_tolerates_sub_half_gap_perturbation():
     assert not failed.any()
 
 
-def test_sk_init_accepts_pam_symbol():
-    cfg = SkConfig(k=1, n_total=3, forward_snr_db=math.inf)
-    state = sk_init(encode_message([1]), cfg, make_channels(cfg, 0, 1))
-    assert float(state.theta[0]) == 1.0
-
-
 def test_power_constraint_montecarlo():
     cfg = SkConfig(k=10, n_total=30, seed=21)
     n_trials = 50_000
@@ -253,7 +242,7 @@ def test_power_constraint_montecarlo():
     for n in (1, 2, 5):
         while state.step < n:
             state = sk_step(state, cfg, channels)
-        x = state.alpha * state.u
+        x = schedule(cfg).alpha[n] * state.u
         mean = float(np.mean(x * x))
         se = float(np.std(x * x) / math.sqrt(n_trials))
         assert abs(mean - 1.0) < 3 * se, f"step {n}: {mean} +- {se}"

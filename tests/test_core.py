@@ -1,6 +1,7 @@
 """PAM mapping, bit labeling, and configuration tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ import pytest
 from skfb.core import (
     BitMapping,
     SkConfig,
-    bit_errors,
-    decode_symbol,
-    encode_message,
+    index_mask,
+    index_of_label,
     index_to_value,
-    int_to_bits,
+    label_of_index,
     pam_step,
+    popcount_u64,
     value_to_index,
 )
 from skfb.precision import PrecisionMode
@@ -21,17 +22,26 @@ from skfb.precision import PrecisionMode
 RNG = np.random.default_rng(77)
 
 
+def _encode(labels, k, mapping=BitMapping.NATURAL):
+    """Amplitudes of the bit labels, as the engine maps its messages."""
+    return index_to_value(index_of_label(np.asarray(labels, dtype=np.uint64), k, mapping), k)
+
+
+def _decode(values, k, mapping=BitMapping.NATURAL):
+    """Bit labels of the nearest positions, as the engine decodes."""
+    return label_of_index(value_to_index(values, k), k, mapping)
+
+
 def test_two_pam_is_plus_minus_one():
-    assert encode_message([0]).value == -1.0
-    assert encode_message([1]).value == +1.0
+    assert list(_encode([0, 1], 1)) == [-1.0, +1.0]
 
 
 def test_k2_index3_value_from_step_formula():
     # frozen from the normalization formula: 3 * sqrt(3/15)
-    sym = encode_message([1, 1])
-    assert sym.index == 3
-    assert sym.value == pytest.approx(3.0 * math.sqrt(3.0 / 15.0), abs=1e-15)
-    assert sym.value == pytest.approx(1.3416407864998738, abs=1e-15)
+    assert int(index_of_label(0b11, 2, BitMapping.NATURAL)) == 3
+    value = float(_encode(0b11, 2))
+    assert value == pytest.approx(3.0 * math.sqrt(3.0 / 15.0), abs=1e-15)
+    assert value == pytest.approx(1.3416407864998738, abs=1e-15)
 
 
 @pytest.mark.parametrize("k", range(1, 17))
@@ -49,24 +59,19 @@ def test_constellation_symmetric_about_zero(k):
 @pytest.mark.parametrize("k", range(1, 11))
 @pytest.mark.parametrize("mapping", list(BitMapping))
 def test_roundtrip_exhaustive(k, mapping):
-    for idx in range(1 << k):
-        label = format(idx, f"0{k}b")
-        bits = [int(c) for c in label]
-        sym = encode_message(bits, mapping)
-        back = decode_symbol(sym.value, k, mapping)
-        assert list(back) == bits, f"k={k} bits={bits}"
+    labels = np.arange(1 << k, dtype=np.uint64)
+    assert np.array_equal(_decode(_encode(labels, k, mapping), k, mapping), labels)
 
 
 def test_gray_and_natural_share_the_value_set():
     for k in (2, 3, 6):
-        nat = sorted(encode_message(int_to_bits(v, k), BitMapping.NATURAL).value for v in range(1 << k))
-        gray = sorted(encode_message(int_to_bits(v, k), BitMapping.GRAY).value for v in range(1 << k))
-        assert nat == gray
+        labels = np.arange(1 << k, dtype=np.uint64)
+        nat = np.sort(_encode(labels, k, BitMapping.NATURAL))
+        gray = np.sort(_encode(labels, k, BitMapping.GRAY))
+        assert np.array_equal(nat, gray)
 
 
 def test_gray_adjacent_positions_differ_in_one_bit():
-    from skfb.core import label_of_index, popcount_u64
-
     for k in (3, 5, 8):
         labels = label_of_index(np.arange(1 << k, dtype=np.uint64), k, BitMapping.GRAY)
         flips = popcount_u64(labels[1:] ^ labels[:-1])
@@ -75,17 +80,15 @@ def test_gray_adjacent_positions_differ_in_one_bit():
 
 def test_midway_tie_goes_to_lower_index():
     # exactly between positions 1 and 2 of the 4-PAM grid
-    mid = 0.0
-    bits = decode_symbol(mid, 2)
-    assert list(bits) == [0, 1]  # natural label of index 1
+    assert int(value_to_index(0.0, 2)) == 1
     # and between 0 and 1
     delta = pam_step(2)
     assert int(value_to_index(-2.0 * delta, 2)) == 0
 
 
 def test_decode_nearest_simple():
-    assert list(decode_symbol(0.3, 1)) == [1]
-    assert list(decode_symbol(-0.0001, 1)) == [0]
+    assert int(_decode(0.3, 1)) == 1
+    assert int(_decode(-0.0001, 1)) == 0
 
 
 def test_decode_clamps_outliers():
@@ -93,34 +96,29 @@ def test_decode_clamps_outliers():
     assert int(value_to_index(-1e6, 3)) == 0
 
 
-def test_decode_non_finite_gives_index_zero():
-    assert list(decode_symbol(math.nan, 4)) == [0, 0, 0, 0]
-    assert list(decode_symbol(math.inf, 2)) == [0, 0]
-
-
-def test_encode_rejects_bad_lengths_and_values():
-    with pytest.raises(ValueError):
-        encode_message([])
-    with pytest.raises(ValueError):
-        encode_message([0] * 65)
-    with pytest.raises(ValueError):
-        encode_message([0, 2])
+@pytest.mark.parametrize("k", [53, 54, 60, 64])
+def test_decode_clamps_outliers_beyond_53_bits(k):
+    # 2^k - 1 is not a float64 for k >= 54; the top must still be index_mask(k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx = value_to_index(np.array([-10.0, 10.0]), k)
+    assert idx.dtype == np.uint64
+    assert list(idx) == [0, index_mask(k)]
 
 
 def test_bit_errors_examples():
-    assert bit_errors([0, 1, 1], [0, 1, 1]) == 0
-    assert bit_errors([0, 0], [1, 1]) == 2
-    with pytest.raises(ValueError):
-        bit_errors([0, 1], [0])
+    # the engine counts bit errors as popcount(sent label ^ decoded label)
+    sent = np.array([0b011, 0b00, 0b1, 2**64 - 1], dtype=np.uint64)
+    decoded = np.array([0b011, 0b11, 0b0, 0], dtype=np.uint64)
+    assert list(popcount_u64(sent ^ decoded)) == [0, 2, 1, 64]
 
 
 def test_bit_errors_matches_naive_loop():
     for _ in range(50):
-        k = int(RNG.integers(1, 32))
-        a = RNG.integers(0, 2, k)
-        b = RNG.integers(0, 2, k)
-        naive = sum(1 for x, y in zip(a, b) if x != y)
-        assert bit_errors(a, b) == naive
+        k = int(RNG.integers(1, 65))
+        a, b = (int(v) & ((1 << k) - 1) for v in RNG.integers(0, 2**64, 2, dtype=np.uint64))
+        naive = sum(((a >> i) & 1) != ((b >> i) & 1) for i in range(k))
+        assert popcount_u64(np.uint64(a) ^ np.uint64(b)) == naive
 
 
 def test_config_defaults_and_validation():
@@ -141,6 +139,26 @@ def test_config_defaults_and_validation():
         SkConfig(k=2, n_total=6, gamma=6.0)  # no power left for later uses
     with pytest.raises(ValueError):
         SkConfig(k=1, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("forward_snr_db", dict(forward_snr_db=math.nan)),
+        ("forward_snr_db", dict(forward_snr_db=-math.inf)),
+        ("feedback_snr_db", dict(feedback_snr_db=math.nan)),
+        ("feedback_snr_db", dict(feedback_snr_db=-math.inf)),
+        ("gamma", dict(n_total=1, gamma=1.5)),
+    ],
+)
+def test_config_refusals_name_the_field(field, overrides):
+    with pytest.raises(ValueError, match=field):
+        SkConfig(k=2, **overrides)
+
+
+def test_config_accepts_the_edges_the_model_honours():
+    assert SkConfig(k=2, forward_snr_db=math.inf, feedback_snr_db=math.inf).n_total == 6
+    assert SkConfig(k=1, n_total=1, gamma=1.0).gamma == 1.0
 
 
 def test_large_k_interfaces_stay_finite():

@@ -1,16 +1,18 @@
 """Monte Carlo engine: determinism, intervals, sweeps, comparisons."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from skfb import engine
 from skfb.codec import analytic_ber_oracle
-from skfb.core import SkConfig, SkVariant
+from skfb.core import BitMapping, SkConfig, SkVariant
 from skfb.engine import (
     CHUNK_TRIALS,
     BerEstimate,
-    ReferenceTable,
     best_block_length,
     cfg_for_sweep_k,
     classify_cell,
@@ -26,6 +28,13 @@ from skfb.engine import (
     TIE,
     UNAVAILABLE,
 )
+from skfb.precision import PrecisionMode
+from skfb.records import BestKRecord, PhaseRecord, ReferenceTable, RunRecord
+
+
+def _estimate_fields(row) -> dict:
+    """The row's columns that a BerEstimate also has."""
+    return {name: getattr(row, name) for name in BerEstimate.__dataclass_fields__}
 
 
 def test_noiseless_channels_give_zero_errors():
@@ -104,9 +113,18 @@ def test_sweep_block_length_single_k_equals_estimate():
     base = SkConfig(k=1, seed=5)
     rows = sweep_block_length(base, [1], rate=1.0 / 3.0, trials=20_000)
     assert len(rows) == 1
-    k, est = rows[0]
-    assert k == 1
-    assert est == estimate_ber(cfg_for_sweep_k(base, 1, 1.0 / 3.0), 20_000)
+    row = rows[0]
+    assert type(row) is RunRecord
+    assert (row.k, row.n_total, row.stop_at_errors) == (1, 3, None)
+    assert row.wall_time_seconds > 0
+    est = estimate_ber(cfg_for_sweep_k(base, 1, 1.0 / 3.0), 20_000)
+    assert _estimate_fields(row) == vars(est)
+
+
+def test_sweep_cells_stop_at_errors():
+    base = SkConfig(k=2, forward_snr_db=-10.0, seed=3)  # high BER
+    rows = sweep_block_length(base, [2], trials=3 * CHUNK_TRIALS, stop_at_errors=100)
+    assert (rows[0].stop_at_errors, rows[0].trials) == (100, CHUNK_TRIALS)
 
 
 def test_sweep_block_length_rejects_empty_range():
@@ -133,26 +151,39 @@ def test_sweep_precision_grid_trivial_reference():
     # a reference of 1.0 everywhere loses to any observed BER
     table = ReferenceTable(rows={(64, math.inf): 1.0, (32, math.inf): 1.0})
     base = SkConfig(k=1, seed=6)
-    diagram = sweep_precision_grid(base, [64, 32], [1, 2], table, trials=5000)
-    assert len(diagram.cells) == 4
-    for cell in diagram.cells:
-        assert cell.verdict == SK_WINS
+    rows = sweep_precision_grid(base, [64, 32], [1, 2], table, trials=5000)
+    assert [(r.precision_bits, r.k) for r in rows] == [(64, 1), (64, 2), (32, 1), (32, 2)]
+    for row in rows:
+        assert type(row) is PhaseRecord
+        assert row.reference_ber == 1.0
+        assert row.verdict == SK_WINS
 
 
 def test_sweep_precision_grid_missing_reference_row():
     table = ReferenceTable(rows={(64, math.inf): 1e-6})
-    diagram = sweep_precision_grid(SkConfig(k=1, seed=6), [64, 8], [1], table, trials=2000)
-    assert diagram.verdict(64, 1) in (SK_WINS, REFERENCE_WINS, TIE)
-    assert diagram.verdict(8, 1) == UNAVAILABLE
+    rows = sweep_precision_grid(SkConfig(k=1, seed=6), [64, 8], [1], table, trials=2000)
+    verdicts = {r.precision_bits: r.verdict for r in rows}
+    assert verdicts[64] in (SK_WINS, REFERENCE_WINS, TIE)
+    assert verdicts[64] == classify_cell(rows[0], 1e-6)
+    assert verdicts[8] == UNAVAILABLE
+    assert rows[1].reference_ber is None
 
 
 def test_best_block_length_tie_prefers_smaller_k():
     # noiseless forward channel: every candidate scores exactly zero
     base = SkConfig(k=1, forward_snr_db=math.inf, seed=9)
-    res = best_block_length(base, math.inf, [3, 1, 2], trials=2000)
-    assert res.k_star == 1
-    assert [k for k, _ in res.table] == [1, 2, 3]
-    assert all(est.ber == 0.0 for _, est in res.table)
+    rows = best_block_length(base, math.inf, [3, 1, 2], trials=2000)
+    assert [r.k for r in rows] == [1, 2, 3]
+    assert [r.is_best for r in rows] == [True, False, False]
+    assert all(r.ber == 0.0 for r in rows)
+
+
+def test_best_block_length_marks_the_lowest_ber():
+    rows = best_block_length(SkConfig(k=1, seed=3), 23.0, range(1, 5), trials=20_000)
+    assert all(type(r) is BestKRecord and r.feedback_snr_db == 23.0 for r in rows)
+    best = [r for r in rows if r.is_best]
+    assert len(best) == 1
+    assert best[0].ber == min(r.ber for r in rows)
 
 
 def test_best_block_length_rejects_empty():
@@ -160,23 +191,26 @@ def test_best_block_length_rejects_empty():
         best_block_length(SkConfig(k=1), 23.0, [], trials=10)
 
 
+def _without_wall_time(rows):
+    return [{**vars(r), "wall_time_seconds": None} for r in rows]
+
+
 def test_sweep_feedback_snr_single_point():
     base = SkConfig(k=1, seed=77)
     rows = sweep_feedback_snr(base, [25.0], [1, 2], trials=20_000)
-    assert len(rows) == 1
-    snr, res = rows[0]
-    assert snr == 25.0
+    assert len(rows) == 2
+    assert {r.feedback_snr_db for r in rows} == {25.0}
     direct = best_block_length(base, 25.0, [1, 2], trials=20_000)
-    assert res == direct
+    assert _without_wall_time(rows) == _without_wall_time(direct)
 
 
 def test_sweep_feedback_infinite_entry_matches_noiseless():
     base = SkConfig(k=1, seed=4)
     rows = sweep_feedback_snr(base, [math.inf], [1, 2, 3], trials=20_000)
-    _, res = rows[0]
-    assert res.estimate.bit_errors == res.estimate.ber * res.estimate.trials * res.k_star
+    best = next(r for r in rows if r.is_best)
+    assert best.bit_errors == best.ber * best.trials * best.k
     direct = best_block_length(base, math.inf, [1, 2, 3], trials=20_000)
-    assert res == direct
+    assert _without_wall_time(rows) == _without_wall_time(direct)
 
 
 def test_monotone_in_forward_and_feedback_snr():
@@ -204,3 +238,44 @@ def test_measure_symbol_power_near_unit():
     power = measure_symbol_power(SkConfig(k=5, n_total=15, seed=44), 40_000, (1, 3))
     for step, (mean, se) in power.items():
         assert abs(mean - 1.0) < 4 * se, f"step {step}"
+
+
+_SNRS = st.one_of(st.floats(-20.0, 60.0), st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from(list(SkVariant)),
+    k=st.integers(1, 64),
+    n_total=st.one_of(st.none(), st.integers(0, 8)),
+    forward_snr_db=_SNRS,
+    feedback_snr_db=_SNRS,
+    bits=st.sampled_from([8, 16, 32, 64]),
+    gamma=st.one_of(st.floats(0.0, 10.0), st.just(math.nan)),
+    bit_mapping=st.sampled_from(list(BitMapping)),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_every_constructible_config_gives_valid_counts(
+    variant, k, n_total, forward_snr_db, feedback_snr_db, bits, gamma, bit_mapping, seed
+):
+    try:
+        cfg = SkConfig(
+            variant=variant,
+            k=k,
+            n_total=n_total,
+            forward_snr_db=forward_snr_db,
+            feedback_snr_db=feedback_snr_db,
+            precision=PrecisionMode(bits),
+            gamma=gamma,
+            seed=seed,
+            bit_mapping=bit_mapping,
+        )
+    except ValueError:
+        return
+    trials = 200
+    with mock.patch.object(engine, "CHUNK_TRIALS", 64):  # several chunks per run
+        one = estimate_ber(cfg, trials, workers=1)
+        two = estimate_ber(cfg, trials, workers=2)
+    assert one == two
+    assert 0 <= one.bit_errors <= trials * cfg.k
+    assert 0 <= one.failed_trials <= trials
