@@ -50,17 +50,27 @@ def _stride(n_steps: int) -> int:
 
 
 def standard_normals(
-    master_seed: int, role: int, trial_lo: int, trial_hi: int, n_steps: int
+    master_seed: int,
+    role: int,
+    trial_lo: int,
+    trial_hi: int,
+    n_steps: int,
+    n_read: int | None = None,
 ) -> np.ndarray:
-    """(trials, n_steps) standard normals for trials [trial_lo, trial_hi).
+    """(trials, n_read) standard normals for trials [trial_lo, trial_hi).
 
-    Row i holds the variates of absolute trial index trial_lo + i; entry
-    (i, n) never depends on the requested range boundaries.
+    Row i holds the variates of absolute trial index trial_lo + i at steps
+    [0, n_read) of an ``n_steps``-use block (n_read defaults to n_steps).
+    Words are laid out for the whole block, so entry (i, n) depends on
+    neither the requested range boundaries nor ``n_read``; only the read
+    columns are converted.
     """
+    if n_read is None:
+        n_read = n_steps
     n_trials = trial_hi - trial_lo
     stride = _stride(n_steps)
     raw = raw_stream(master_seed, role, trial_lo * stride, n_trials * stride)
-    raw = raw.reshape(n_trials, stride)[:, :n_steps]
+    raw = raw.reshape(n_trials, stride)[:, :n_read]
     # (r >> 11) + 0.5 scaled by 2^-53 lies strictly inside (0, 1)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     return ndtri(u)
@@ -96,10 +106,11 @@ class AwgnChannel:
         trial_lo: int,
         trial_hi: int,
         n_steps: int,
+        n_read: int | None = None,
     ) -> "AwgnChannel":
         if snr_db == np.inf:
             return cls(snr_db=snr_db, noise=None)
-        noise = standard_normals(master_seed, role, trial_lo, trial_hi, n_steps)
+        noise = standard_normals(master_seed, role, trial_lo, trial_hi, n_steps, n_read)
         return cls(snr_db=snr_db, noise=noise)
 
     @property
@@ -116,12 +127,18 @@ class AwgnChannel:
         return xa + self.noise_std * self.noise[:, step]
 
 
-def make_channels(cfg, trial_lo: int, trial_hi: int) -> tuple[AwgnChannel, AwgnChannel]:
-    """Forward and feedback channels for a block of trials of ``cfg``."""
+def make_channels(
+    cfg, trial_lo: int, trial_hi: int, n_read: int | None = None
+) -> tuple[AwgnChannel, AwgnChannel]:
+    """Forward and feedback channels for a block of trials of ``cfg``.
+
+    With ``n_read`` set, only the noise of channel uses [0, n_read) is
+    derived; each of those variates is the one the full block would use.
+    """
     forward = AwgnChannel.for_trials(
-        cfg.forward_snr_db, cfg.seed, ROLE_FORWARD, trial_lo, trial_hi, cfg.n_total
+        cfg.forward_snr_db, cfg.seed, ROLE_FORWARD, trial_lo, trial_hi, cfg.n_total, n_read
     )
     feedback = AwgnChannel.for_trials(
-        cfg.feedback_snr_db, cfg.seed, ROLE_FEEDBACK, trial_lo, trial_hi, cfg.n_total
+        cfg.feedback_snr_db, cfg.seed, ROLE_FEEDBACK, trial_lo, trial_hi, cfg.n_total, n_read
     )
     return forward, feedback

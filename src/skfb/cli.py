@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .codec import analytic_ber_oracle, optimize_gamma
+from .codec import analytic_ber_oracle, optimize_gamma, schedule
 from .core import BitMapping, SkConfig, SkVariant
 from .engine import (
     ber_record,
@@ -24,7 +24,14 @@ from .engine import (
     sweep_precision_grid,
 )
 from .precision import PrecisionMode
-from .records import GammaRecord, OracleRecord, read_reference_table, write_csv
+from .records import (
+    GammaRecord,
+    OracleRecord,
+    RunRecord,
+    config_from_record,
+    read_reference_table,
+    write_csv,
+)
 
 DEFAULT_RATE = 1.0 / 3.0
 DEFAULT_TRIALS = 100_000
@@ -130,6 +137,21 @@ def _emit(args, records) -> None:
             write_csv(records, fh)
     else:
         sys.stdout.write(write_csv(records))
+    for rec in records:
+        if isinstance(rec, RunRecord):
+            _note_schedule_failure(rec)
+
+
+def _note_schedule_failure(rec: RunRecord) -> None:
+    """One stderr line for a cell whose alpha overflows before n_total."""
+    halt = schedule(config_from_record(rec)).halt
+    if halt < rec.n_total:
+        print(
+            f"skfb: note: schedule fails at step {halt} (k={rec.k}, "
+            f"n_total={rec.n_total}, precision={rec.precision_bits} bits): alpha is "
+            "not finite, so every trial from that step on counts as failed",
+            file=sys.stderr,
+        )
 
 
 def _k_range(args) -> range:
@@ -292,7 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.stop_at_errors is not None and args.stop_at_errors < 1:
+        parser.error(f"--stop-at-errors must be >= 1, got {args.stop_at_errors}")
     if hasattr(args, "k_step"):
+        if args.n is not None:
+            parser.error("--n sets a single cell's N; sweeps set each cell's N from --rate")
         if args.k_step < 1:
             parser.error(f"--k-step must be >= 1, got {args.k_step}")
         if args.k_max < args.k_min:

@@ -60,6 +60,12 @@ class Schedule:
     per-use power budget, beta[n] is the linear MMSE gain
     alpha_n * u_var_n / (P_rest + sigma^2), and u_var[n] is the tracked
     Var(U_n) before the step-n correction (u_var[n_total] is terminal).
+
+    ``halt`` is the first step whose alpha is not finite (n_total if
+    there is none).  alpha grows geometrically, so a long block or a
+    narrow format overflows it once u_var underflows; at that step
+    alpha * U_n is non-finite for every trial, so every trial fails and
+    uses [halt, n_total) cannot change any outcome.
     """
 
     sigma2: float
@@ -68,6 +74,7 @@ class Schedule:
     alpha: np.ndarray
     beta: np.ndarray
     u_var: np.ndarray
+    halt: int
 
 
 def residual_power(cfg: SkConfig) -> float:
@@ -100,7 +107,7 @@ def schedule(cfg: SkConfig) -> Schedule:
         alpha[1:] = 0.0
         beta[1:] = 0.0
         u_var[1:] = 0.0
-        return Schedule(sigma2, p_rest, sqrt_gamma, alpha, beta, u_var)
+        return Schedule(sigma2, p_rest, sqrt_gamma, alpha, beta, u_var, n)
 
     denom = q_add(p_rest, sigma2, mode)
     ratio = q_div(sigma2, denom, mode)
@@ -109,7 +116,9 @@ def schedule(cfg: SkConfig) -> Schedule:
         alpha[i] = q_sqrt(q_div(p_rest, u_var[i], mode), mode)
         beta[i] = q_div(q_mul(alpha[i], u_var[i], mode), denom, mode)
         u_var[i + 1] = q_mul(u_var[i], ratio, mode)
-    return Schedule(sigma2, p_rest, sqrt_gamma, alpha, beta, u_var)
+    overflowed = np.flatnonzero(~np.isfinite(alpha[1:]))
+    halt = int(overflowed[0]) + 1 if overflowed.size else n
+    return Schedule(sigma2, p_rest, sqrt_gamma, alpha, beta, u_var, halt)
 
 
 @dataclass
@@ -140,8 +149,14 @@ def sk_init(theta, cfg: SkConfig, channels) -> SkState:
     x0 = q_mul(sched.sqrt_gamma, theta_q, mode)
     y0 = quantize(forward.transmit(x0, 0), mode)
     theta_hat_rx = q_div(y0, sched.sqrt_gamma, mode)
-    y0_fb = quantize(feedback.transmit(y0, 0), mode)
-    theta_hat_tx = q_div(y0_fb, sched.sqrt_gamma, mode)
+    if feedback.noise is None:
+        # noiseless feedback returns the receiver's own rounded output, so
+        # the transmitter's copy of the estimate is the receiver's
+        y0_fb = feedback.transmit(y0, 0)
+        theta_hat_tx = theta_hat_rx
+    else:
+        y0_fb = quantize(feedback.transmit(y0, 0), mode)
+        theta_hat_tx = q_div(y0_fb, sched.sqrt_gamma, mode)
     # error-recursion seed U_1 = (Ytilde_0 - X_0) / sqrt(gamma)
     u = q_div(q_sub(y0_fb, x0, mode), sched.sqrt_gamma, mode)
 
@@ -175,8 +190,12 @@ def _advance(state: SkState, u_n: np.ndarray, cfg: SkConfig, channels) -> SkStat
     y = quantize(forward.transmit(x, n), mode)
     with np.errstate(invalid="ignore", over="ignore"):
         theta_hat_rx = q_sub(state.theta_hat_rx, q_mul(beta, y, mode), mode)
-        y_fb = quantize(feedback.transmit(y, n), mode)
-        theta_hat_tx = q_sub(state.theta_hat_tx, q_mul(beta, y_fb, mode), mode)
+        if feedback.noise is None:  # the transmitter's copy is the receiver's
+            y_fb = feedback.transmit(y, n)
+            theta_hat_tx = theta_hat_rx
+        else:
+            y_fb = quantize(feedback.transmit(y, n), mode)
+            theta_hat_tx = q_sub(state.theta_hat_tx, q_mul(beta, y_fb, mode), mode)
     failed = failed | ~(np.isfinite(theta_hat_rx) & np.isfinite(theta_hat_tx))
 
     return replace(
@@ -226,7 +245,16 @@ def _check_can_step(state: SkState, cfg: SkConfig) -> None:
 
 
 def decode_indices(state: SkState, cfg: SkConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-distance indices and failure flags after the final use."""
+    """Minimum-distance indices and failure flags after the final use.
+
+    A state stepped only up to the use before the schedule's halt is
+    accepted too: every trial fails at the halt, so every trial decodes
+    to position 0 and is flagged failed, as after the final use.
+    """
+    halt = schedule(cfg).halt
+    if halt < cfg.n_total and state.step == halt - 1:
+        n_trials = state.theta.size
+        return np.zeros(n_trials, dtype=np.uint64), np.ones(n_trials, dtype=bool)
     if state.step != cfg.n_total - 1:
         raise ValueError(
             f"decoding requires step {cfg.n_total - 1}, state is at {state.step}"

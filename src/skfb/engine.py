@@ -83,20 +83,24 @@ def _make_estimate(cfg: SkConfig, trials: int, errors: int, failed: int) -> BerE
 
 
 def _run_chunk(cfg: SkConfig, lo: int, hi: int, power_steps=()) -> dict:
-    """Simulate trials [lo, hi); returns integer counts and power sums."""
+    """Simulate trials [lo, hi); returns integer counts and power sums.
+
+    Steps stop before the schedule's halt, where every trial fails: the
+    uses from there on change no count, and send 0 in every trial.
+    """
+    sched = _codec.schedule(cfg)
     labels = _channel.message_indices(cfg.seed, lo, hi, cfg.k)
     positions = index_of_label(labels, cfg.k, cfg.bit_mapping)
     theta = index_to_value(positions, cfg.k)
-    channels = _channel.make_channels(cfg, lo, hi)
+    channels = _channel.make_channels(cfg, lo, hi, sched.halt)
 
-    power = {}
+    power = {n: (0.0, 0.0) for n in power_steps if n >= sched.halt}
     state = _codec.sk_init(theta, cfg, channels)
-    for _ in range(cfg.n_total - 1):
+    for _ in range(sched.halt - 1):
         state = _codec.sk_step(state, cfg, channels)
         if state.step in power_steps:
             # reconstruct this step's transmitted symbol (failed trials sent 0)
-            alpha = float(_codec.schedule(cfg).alpha[state.step])
-            x = q_mul(alpha, state.u, cfg.precision)
+            x = q_mul(float(sched.alpha[state.step]), state.u, cfg.precision)
             x = np.where(state.failed | ~np.isfinite(x), 0.0, x)
             power[state.step] = (float(np.sum(x * x)), float(np.sum(x**4)))
     idx, failed = _codec.decode_indices(state, cfg)
@@ -171,6 +175,8 @@ def estimate_ber(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if stop_at_errors is not None and stop_at_errors < 1:
+        raise ValueError(f"stop_at_errors must be >= 1, got {stop_at_errors}")
     totals, _ = _map_chunks(cfg, trials, workers, stop_at_errors=stop_at_errors)
     return _make_estimate(cfg, totals["trials"], totals["bit_errors"], totals["failed"])
 

@@ -87,6 +87,17 @@ def quantize(x, mode: PrecisionMode):
     scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
     xa = np.asarray(x, dtype=np.float64)
 
+    if mode.width == 32:
+        # the hardware cast rounds to nearest even through subnormals; it
+        # sends finite overflow to inf, which saturates here instead
+        with np.errstate(invalid="ignore", over="ignore"):
+            q = xa.astype(np.float32).astype(np.float64)
+        over = np.isinf(q)
+        if over.any():
+            over &= np.isfinite(xa)
+            q[over] = np.copysign(mode.max_finite, xa[over])
+        return float(q) if scalar else q
+
     with np.errstate(invalid="ignore", over="ignore"):
         _, e = np.frexp(xa)  # |x| = m * 2^e with m in [0.5, 1)
         # exponent of the ulp: normals scale with the value, subnormals

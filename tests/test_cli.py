@@ -89,6 +89,68 @@ def test_bad_k_range_is_a_usage_error(command, k_args, message, capsys):
     assert "usage" in captured.err.lower() and message in captured.err
 
 
+_SWEEP_EXTRA = {
+    "sweep-k": ["--k-min", "2", "--k-max", "3"],
+    "sweep-precision": ["--k-min", "2", "--k-max", "3", "--reference", "/nonexistent/ref.csv"],
+    "best-k": ["--k-max", "3"],
+    "sweep-feedback": ["--k-max", "3", "--feedback-snr-list", "20"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SWEEP_EXTRA))
+def test_sweeps_refuse_n(command, capsys):
+    # a sweep sets each cell's N from the rate; --n would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_SWEEP_EXTRA[command], "--n", "30", "--trials", "10"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n" in captured.err and "--rate" in captured.err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_stop_at_errors_below_one_is_a_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ber", "--k", "2", "--trials", "1000", "--stop-at-errors", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--stop-at-errors" in captured.err
+
+
+def test_schedule_failure_is_noted_on_stderr(capsys):
+    # at 0 dB and 64 bits, alpha overflows at use 1025 of 1300
+    code = main(["ber", "--k", "1", "--n", "1300", "--trials", "200"])
+    captured = capsys.readouterr()
+    assert code == 0
+    row = parse_rows(captured.out)[0]
+    assert row["failed_trials"] == "200"
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    for part in ("step 1025", "k=1", "n_total=1300", "precision=64"):
+        assert part in lines[0]
+
+
+def test_schedule_failure_noted_once_per_failing_cell(capsys, tmp_path):
+    ref = tmp_path / "ref.csv"
+    ref.write_text("precision_bits,feedback_snr_db,reference_ber\n8,inf,0.5\n", encoding="utf-8")
+    # 8-bit alpha overflows at use 11 at 0 dB: K=2 (n=6) is healthy, K=4 and 6 fail
+    code = main(["sweep-precision", "--k-min", "2", "--k-max", "6", "--k-step", "2",
+                 "--precisions", "8", "--reference", str(ref), "--trials", "100"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert len(parse_rows(captured.out)) == 3
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    assert "k=4, n_total=12, precision=8" in lines[0] and "step 11" in lines[0]
+    assert "k=6, n_total=18, precision=8" in lines[1] and "step 11" in lines[1]
+
+
+def test_healthy_run_prints_nothing_on_stderr(capsys):
+    assert main(["ber", "--k", "3", "--trials", "100"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_runtime_error_exits_1(capsys):
     code = main(
         ["sweep-precision", "--k-min", "1", "--k-max", "1", "--trials", "10",

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from skfb.channel import AwgnChannel, make_channels, message_indices
+from skfb.precision import PrecisionMode
 from skfb.codec import (
     adjacent_bitflip_total,
     analytic_ber_oracle,
@@ -185,6 +186,72 @@ def test_transmitter_tracking_identity_with_noiseless_feedback():
         for _ in range(cfg.n_total - 1):
             state = sk_step(state, cfg, channels)
             assert np.array_equal(state.theta_hat_tx, state.theta_hat_rx)
+
+
+@pytest.mark.parametrize("variant", list(SkVariant))
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+def test_aliased_copy_matches_zero_noise_feedback(variant, bits):
+    # Noiseless feedback aliases the transmitter's copy to the receiver's
+    # estimate.  A finite-SNR feedback channel whose noise is all zero
+    # takes the unaliased path (round the fed-back value, update the copy
+    # with its own multiply and subtract) and must give the same trials.
+    cfg = SkConfig(variant=variant, k=6, n_total=30, precision=PrecisionMode(bits), seed=bits)
+    n_trials = 2000
+    forward, noiseless = make_channels(cfg, 0, n_trials)
+    assert noiseless.noise is None
+    zero_noise = AwgnChannel(snr_db=30.0, noise=np.zeros((n_trials, cfg.n_total)))
+    theta = index_to_value(message_indices(cfg.seed, 0, n_trials, cfg.k), cfg.k)
+
+    def same(a, b):
+        # exact values; +0.0 noise turns a -0.0 feedback value into +0.0,
+        # which compares equal, and NaNs must sit in the same trials
+        return np.array_equal(a, b, equal_nan=True)
+
+    aliased = sk_init(theta, cfg, (forward, noiseless))
+    plain = sk_init(theta, cfg, (forward, zero_noise))
+    assert aliased.theta_hat_tx is aliased.theta_hat_rx
+    for _ in range(cfg.n_total - 1):
+        assert same(aliased.theta_hat_rx, plain.theta_hat_rx)
+        assert same(plain.theta_hat_tx, plain.theta_hat_rx)
+        assert same(aliased.u, plain.u)
+        assert np.array_equal(aliased.failed, plain.failed)
+        aliased = sk_step(aliased, cfg, (forward, noiseless))
+        plain = sk_step(plain, cfg, (forward, zero_noise))
+    for a, b in zip(decode_indices(aliased, cfg), decode_indices(plain, cfg)):
+        assert np.array_equal(a, b)
+
+
+def test_schedule_halt_is_the_first_overflowing_alpha():
+    def halt(bits, n, snr=0.0):
+        return schedule(SkConfig(k=1, n_total=n, forward_snr_db=snr, precision=PrecisionMode(bits))).halt
+
+    # at 0 dB alpha becomes inf at step 11 in 8-bit and 26 in 16-bit
+    assert halt(8, 24) == 11
+    assert halt(16, 78) == 26
+    assert halt(64, 1300) == 1025  # u_var underflows binary64 after ~1000 halvings
+    # a healthy schedule, and one that ends before its overflow, keep n_total
+    assert halt(64, 150) == 150
+    assert halt(8, 11) == 11
+    assert halt(8, 24, snr=math.inf) == 24  # noiseless forward: alpha is 0
+    sched = schedule(SkConfig(k=1, n_total=24, precision=PrecisionMode(8)))
+    assert np.all(np.isfinite(sched.alpha[1:11])) and not np.isfinite(sched.alpha[11])
+
+
+def test_halted_state_decodes_to_zero_and_failed():
+    cfg = SkConfig(k=3, n_total=24, precision=PrecisionMode(8), seed=1)
+    halt = schedule(cfg).halt
+    assert halt == 11
+    channels = make_channels(cfg, 0, 50, halt)
+    assert channels[0].noise.shape == (50, halt)
+    state = sk_init(index_to_value(np.arange(50) % 8, 3), cfg, channels)
+    for _ in range(halt - 2):
+        state = sk_step(state, cfg, channels)
+    with pytest.raises(ValueError):
+        decode_indices(state, cfg)  # two uses before the halt: not decided yet
+    state = sk_step(state, cfg, channels)
+    idx, failed = decode_indices(state, cfg)
+    assert idx.dtype == np.uint64 and not idx.any()
+    assert failed.all()
 
 
 def test_step_and_decode_guards():

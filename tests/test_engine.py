@@ -8,8 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skfb import engine
-from skfb.codec import analytic_ber_oracle
-from skfb.core import BitMapping, SkConfig, SkVariant
+from skfb.channel import make_channels, message_indices
+from skfb.codec import analytic_ber_oracle, decode_indices, schedule, sk_init, sk_step
+from skfb.core import (
+    BitMapping,
+    SkConfig,
+    SkVariant,
+    index_of_label,
+    index_to_value,
+    label_of_index,
+    popcount_u64,
+)
 from skfb.engine import (
     CHUNK_TRIALS,
     BerEstimate,
@@ -28,7 +37,7 @@ from skfb.engine import (
     TIE,
     UNAVAILABLE,
 )
-from skfb.precision import PrecisionMode
+from skfb.precision import PrecisionMode, q_mul
 from skfb.records import BestKRecord, PhaseRecord, ReferenceTable, RunRecord
 
 
@@ -66,6 +75,71 @@ def test_repeat_runs_are_identical():
 def test_trials_validation():
     with pytest.raises(ValueError):
         estimate_ber(SkConfig(k=1), 0)
+
+
+@pytest.mark.parametrize("stop_at_errors", [0, -5])
+def test_stop_at_errors_below_one_is_refused(stop_at_errors):
+    with pytest.raises(ValueError, match="stop_at_errors"):
+        estimate_ber(SkConfig(k=2), 1000, stop_at_errors=stop_at_errors)
+
+
+def _hand_loop(cfg, trials):
+    """Every one of the n_total uses, stepped by hand over all trials.
+
+    Returns the per-trial (bit errors, failed) and, per step n >= 1, the
+    sums of X_n^2 and X_n^4 over trials (failed trials send 0).
+    """
+    labels = message_indices(cfg.seed, 0, trials, cfg.k)
+    theta = index_to_value(index_of_label(labels, cfg.k, cfg.bit_mapping), cfg.k)
+    channels = make_channels(cfg, 0, trials)
+    alpha = schedule(cfg).alpha
+    state = sk_init(theta, cfg, channels)
+    power = {}
+    for _ in range(cfg.n_total - 1):
+        state = sk_step(state, cfg, channels)
+        x = q_mul(float(alpha[state.step]), state.u, cfg.precision)
+        x = np.where(state.failed | ~np.isfinite(x), 0.0, x)
+        power[state.step] = (float(np.sum(x * x)), float(np.sum(x**4)))
+    idx, failed = decode_indices(state, cfg)
+    errors = popcount_u64(labels ^ label_of_index(idx, cfg.k, cfg.bit_mapping))
+    return errors, failed, power
+
+
+_HALTING = [
+    SkConfig(k=8, n_total=24, precision=PrecisionMode(8), seed=1),
+    SkConfig(k=14, n_total=42, precision=PrecisionMode(16), seed=2,
+             variant=SkVariant.ERROR_RECURSION, bit_mapping=BitMapping.GRAY),
+    SkConfig(k=4, n_total=30, forward_snr_db=10.0, feedback_snr_db=20.0,
+             precision=PrecisionMode(16), seed=3),
+    SkConfig(k=1, n_total=1300, seed=4),
+]
+
+
+@pytest.mark.parametrize("cfg", _HALTING, ids=lambda c: f"w{c.precision.width}-n{c.n_total}")
+def test_halted_chunks_match_a_hand_loop_over_every_use(cfg):
+    assert schedule(cfg).halt < cfg.n_total
+    trials = 300
+    errors, failed, _ = _hand_loop(cfg, trials)
+    with mock.patch.object(engine, "CHUNK_TRIALS", 128):  # several chunks
+        est = estimate_ber(cfg, trials, workers=1)
+    assert (est.trials, est.bit_errors, est.failed_trials) == (
+        trials, int(errors.sum()), int(np.count_nonzero(failed))
+    )
+    assert est.failed_trials == trials
+
+
+@pytest.mark.parametrize("cfg", _HALTING[:3], ids=lambda c: f"w{c.precision.width}-n{c.n_total}")
+def test_symbol_power_past_the_halt_matches_a_hand_loop(cfg):
+    trials = 500  # one chunk, so the sums are added in the same order
+    _, _, power = _hand_loop(cfg, trials)
+    steps = range(1, cfg.n_total)
+    measured = measure_symbol_power(cfg, trials, steps, workers=1)
+    for step in steps:
+        s2, s4 = power[step]
+        mean = s2 / trials
+        se = math.sqrt(max(0.0, s4 / trials - mean * mean) / trials)
+        assert measured[step] == (mean, se), f"step {step}"
+    assert measured[cfg.n_total - 1] == (0.0, 0.0)
 
 
 def test_early_stop_is_deterministic_and_recorded():
@@ -247,7 +321,7 @@ _SNRS = st.one_of(st.floats(-20.0, 60.0), st.sampled_from([math.inf, -math.inf, 
 @given(
     variant=st.sampled_from(list(SkVariant)),
     k=st.integers(1, 64),
-    n_total=st.one_of(st.none(), st.integers(0, 8)),
+    n_total=st.one_of(st.none(), st.integers(0, 40)),  # 8- and 16-bit halts at 0 dB
     forward_snr_db=_SNRS,
     feedback_snr_db=_SNRS,
     bits=st.sampled_from([8, 16, 32, 64]),

@@ -128,6 +128,43 @@ def test_single_precision_against_float32_cast():
     assert np.array_equal(got, want)
 
 
+def _frexp_round(x, exponent_bits, mantissa_bits):
+    """Round to nearest even on the format's ulp grid, by frexp scaling,
+    saturating finite overflow (the rounding quantize does at 8/16 bits)."""
+    bias = (1 << (exponent_bits - 1)) - 1
+    max_finite = (2.0 - 2.0**-mantissa_bits) * 2.0**bias
+    with np.errstate(invalid="ignore", over="ignore"):
+        _, e = np.frexp(x)
+        ulp_exp = np.maximum(e - 1, 1 - bias) - mantissa_bits
+        q = np.ldexp(np.rint(np.ldexp(x, -ulp_exp)), ulp_exp)
+        over = np.isfinite(x) & (np.abs(q) > max_finite)
+    return np.where(over, np.copysign(max_finite, x), q)
+
+
+def test_single_precision_cast_matches_frexp_rounding_bit_for_bit():
+    rng = np.random.default_rng(32)
+    values = rng.standard_normal(10**6) * 10.0 ** rng.uniform(-50.0, 50.0, 10**6)
+    top, tiny = 2.0**128, 2.0**-149  # overflow threshold, smallest subnormal
+    edges = np.array([
+        0.0, np.inf, np.nan, MODE32.max_finite,
+        top - 2.0**103,  # overflow midpoint: ties to even, past the top
+        np.nextafter(top - 2.0**103, 0.0), np.nextafter(top - 2.0**103, np.inf),
+        top, 1e39, 1.7976931348623157e308,
+        tiny / 2, np.nextafter(tiny / 2, 1.0), np.nextafter(tiny / 2, 0.0),  # underflow midpoint
+        tiny, 1.5 * tiny, 2.5 * tiny,  # subnormal midpoints, ties to even
+        2.0**-126 - tiny / 2,  # midway between the top subnormal and the smallest normal
+        2.0**-126, 5e-324, 1e-310,
+    ])
+    xs = np.concatenate([values, edges, -edges])
+    got = quantize(xs, MODE32)
+    want = _frexp_round(xs, 8, 23)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    assert quantize(-1e39, MODE32) == -MODE32.max_finite
+    assert math.copysign(1.0, quantize(-tiny / 2, MODE32)) == -1.0
+
+
 def test_spec_value_examples():
     assert quantize(1.0 + 2.0**-12, MODE16) == 1.0
     assert q_add(1.0, 2.0**-11, MODE16) == 1.0
