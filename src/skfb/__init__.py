@@ -28,8 +28,6 @@ from .codec import (  # noqa: F401
     optimize_gamma,
     sk_init,
     sk_step,
-    sk_step_error_recursion,
-    sk_step_estimate_difference,
 )
 from .engine import (  # noqa: F401
     BerEstimate,

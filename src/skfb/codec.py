@@ -65,7 +65,9 @@ class Schedule:
     there is none).  alpha grows geometrically, so a long block or a
     narrow format overflows it once u_var underflows; at that step
     alpha * U_n is non-finite for every trial, so every trial fails and
-    uses [halt, n_total) cannot change any outcome.
+    decodes to position 0.  A cell with halt < n_total is therefore
+    decided by its message labels alone, and from the halt on every
+    trial sends 0.
     """
 
     sigma2: float
@@ -174,15 +176,33 @@ def sk_init(theta, cfg: SkConfig, channels) -> SkState:
     )
 
 
-def _advance(state: SkState, u_n: np.ndarray, cfg: SkConfig, channels) -> SkState:
+def sk_step(state: SkState, cfg: SkConfig, channels) -> SkState:
+    """One correction step of ``cfg.variant``.
+
+    The error signal is U_n = theta_hat_tx_{n-1} - theta (estimate-
+    difference) or U_n = U_{n-1} - beta_{n-1} * Ytilde_{n-1}, seeded at
+    init (error-recursion).  The transmitter sends alpha_n * U_n, or 0 in
+    trials that have failed.
+    """
+    n = state.step + 1
+    if n >= cfg.n_total:
+        raise ValueError(
+            f"all {cfg.n_total} channel uses already consumed (step={state.step})"
+        )
     mode = cfg.precision
     sched = schedule(cfg)
     forward, feedback = channels
-    n = state.step + 1
     alpha = float(sched.alpha[n])
     beta = float(sched.beta[n])
 
     with np.errstate(invalid="ignore", over="ignore"):
+        if cfg.variant is SkVariant.ESTIMATE_DIFFERENCE:
+            u_n = q_sub(state.theta_hat_tx, state.theta, mode)
+        elif n == 1:
+            u_n = state.u
+        else:
+            prev_beta = float(sched.beta[state.step])
+            u_n = q_sub(state.u, q_mul(prev_beta, state.prev_y_fb, mode), mode)
         x = q_mul(alpha, u_n, mode)
     failed = state.failed | ~np.isfinite(x)
     x = np.where(failed, 0.0, x)
@@ -209,52 +229,8 @@ def _advance(state: SkState, u_n: np.ndarray, cfg: SkConfig, channels) -> SkStat
     )
 
 
-def sk_step_estimate_difference(state: SkState, cfg: SkConfig, channels) -> SkState:
-    """One correction step with U_n = theta_hat_tx_{n-1} - theta."""
-    _check_can_step(state, cfg)
-    mode = cfg.precision
-    u_n = q_sub(state.theta_hat_tx, state.theta, mode)
-    return _advance(state, u_n, cfg, channels)
-
-
-def sk_step_error_recursion(state: SkState, cfg: SkConfig, channels) -> SkState:
-    """One correction step with U_n = U_{n-1} - beta_{n-1} * Ytilde_{n-1}."""
-    _check_can_step(state, cfg)
-    mode = cfg.precision
-    if state.step == 0:
-        u_n = state.u  # seeded at init from (Ytilde_0 - X_0) / sqrt(gamma)
-    else:
-        prev_beta = float(schedule(cfg).beta[state.step])
-        with np.errstate(invalid="ignore", over="ignore"):
-            u_n = q_sub(state.u, q_mul(prev_beta, state.prev_y_fb, mode), mode)
-    return _advance(state, u_n, cfg, channels)
-
-
-def sk_step(state: SkState, cfg: SkConfig, channels) -> SkState:
-    """Dispatch one correction step according to ``cfg.variant``."""
-    if cfg.variant is SkVariant.ESTIMATE_DIFFERENCE:
-        return sk_step_estimate_difference(state, cfg, channels)
-    return sk_step_error_recursion(state, cfg, channels)
-
-
-def _check_can_step(state: SkState, cfg: SkConfig) -> None:
-    if state.step >= cfg.n_total - 1:
-        raise ValueError(
-            f"all {cfg.n_total} channel uses already consumed (step={state.step})"
-        )
-
-
 def decode_indices(state: SkState, cfg: SkConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-distance indices and failure flags after the final use.
-
-    A state stepped only up to the use before the schedule's halt is
-    accepted too: every trial fails at the halt, so every trial decodes
-    to position 0 and is flagged failed, as after the final use.
-    """
-    halt = schedule(cfg).halt
-    if halt < cfg.n_total and state.step == halt - 1:
-        n_trials = state.theta.size
-        return np.zeros(n_trials, dtype=np.uint64), np.ones(n_trials, dtype=bool)
+    """Minimum-distance indices and failure flags after the final use."""
     if state.step != cfg.n_total - 1:
         raise ValueError(
             f"decoding requires step {cfg.n_total - 1}, state is at {state.step}"

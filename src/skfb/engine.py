@@ -82,36 +82,26 @@ def _make_estimate(cfg: SkConfig, trials: int, errors: int, failed: int) -> BerE
     )
 
 
-def _run_chunk(cfg: SkConfig, lo: int, hi: int, power_steps=()) -> dict:
-    """Simulate trials [lo, hi); returns integer counts and power sums.
+def _run_chunk(cfg: SkConfig, lo: int, hi: int) -> dict:
+    """Simulate trials [lo, hi); returns their integer counts.
 
-    Steps stop before the schedule's halt, where every trial fails: the
-    uses from there on change no count, and send 0 in every trial.
+    A cell whose schedule halts before the last use is decided from its
+    message labels alone: every trial fails and decodes to position 0,
+    so no noise is derived and no step is run.
     """
-    sched = _codec.schedule(cfg)
     labels = _channel.message_indices(cfg.seed, lo, hi, cfg.k)
-    positions = index_of_label(labels, cfg.k, cfg.bit_mapping)
-    theta = index_to_value(positions, cfg.k)
-    channels = _channel.make_channels(cfg, lo, hi, sched.halt)
-
-    power = {n: (0.0, 0.0) for n in power_steps if n >= sched.halt}
-    state = _codec.sk_init(theta, cfg, channels)
-    for _ in range(sched.halt - 1):
-        state = _codec.sk_step(state, cfg, channels)
-        if state.step in power_steps:
-            # reconstruct this step's transmitted symbol (failed trials sent 0)
-            x = q_mul(float(sched.alpha[state.step]), state.u, cfg.precision)
-            x = np.where(state.failed | ~np.isfinite(x), 0.0, x)
-            power[state.step] = (float(np.sum(x * x)), float(np.sum(x**4)))
-    idx, failed = _codec.decode_indices(state, cfg)
+    if _codec.schedule(cfg).halt < cfg.n_total:
+        idx = np.zeros(hi - lo, dtype=np.uint64)
+        failed = np.ones(hi - lo, dtype=bool)
+    else:
+        theta = index_to_value(index_of_label(labels, cfg.k, cfg.bit_mapping), cfg.k)
+        idx, failed = _codec.run_block(cfg, theta, _channel.make_channels(cfg, lo, hi))
     decoded_labels = label_of_index(idx, cfg.k, cfg.bit_mapping)
     errors = popcount_u64(labels ^ decoded_labels)
-
     return {
         "trials": hi - lo,
         "bit_errors": int(errors.sum()),
         "failed": int(np.count_nonzero(failed)),
-        "power": power,
     }
 
 
@@ -119,8 +109,8 @@ def _chunk_ranges(trials: int):
     return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
 
 
-def _map_chunks(cfg: SkConfig, trials: int, workers, stop_at_errors=None, power_steps=()):
-    """Run chunks in submission waves, merging results in chunk order.
+def _map_chunks(cfg: SkConfig, trials: int, workers, stop_at_errors=None) -> dict:
+    """Run chunks in submission waves, merging counts in chunk order.
 
     The early-stop decision is taken on the ordered cumulative counts at
     chunk boundaries, so it is independent of completion order.
@@ -129,34 +119,29 @@ def _map_chunks(cfg: SkConfig, trials: int, workers, stop_at_errors=None, power_
         workers = default_workers()
     ranges = _chunk_ranges(trials)
     totals = {"trials": 0, "bit_errors": 0, "failed": 0}
-    power_sums = {n: [0.0, 0.0] for n in power_steps}
 
     def merge(res) -> bool:
-        totals["trials"] += res["trials"]
-        totals["bit_errors"] += res["bit_errors"]
-        totals["failed"] += res["failed"]
-        for n, (s2, s4) in res["power"].items():
-            power_sums[n][0] += s2
-            power_sums[n][1] += s4
+        for key in totals:
+            totals[key] += res[key]
         return stop_at_errors is not None and totals["bit_errors"] >= stop_at_errors
 
     if workers == 1 or len(ranges) == 1:
         for lo, hi in ranges:
-            if merge(_run_chunk(cfg, lo, hi, power_steps)):
+            if merge(_run_chunk(cfg, lo, hi)):
                 break
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pos, stop = 0, False
             while pos < len(ranges) and not stop:
                 wave = ranges[pos : pos + workers]
-                futures = [pool.submit(_run_chunk, cfg, lo, hi, power_steps) for lo, hi in wave]
+                futures = [pool.submit(_run_chunk, cfg, lo, hi) for lo, hi in wave]
                 for fut in futures:  # in chunk order
                     if stop:
                         fut.result()  # drain; counts beyond the stop are discarded
                         continue
                     stop = merge(fut.result())
                 pos += len(wave)
-    return totals, power_sums
+    return totals
 
 
 def estimate_ber(
@@ -177,7 +162,7 @@ def estimate_ber(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if stop_at_errors is not None and stop_at_errors < 1:
         raise ValueError(f"stop_at_errors must be >= 1, got {stop_at_errors}")
-    totals, _ = _map_chunks(cfg, trials, workers, stop_at_errors=stop_at_errors)
+    totals = _map_chunks(cfg, trials, workers, stop_at_errors=stop_at_errors)
     return _make_estimate(cfg, totals["trials"], totals["bit_errors"], totals["failed"])
 
 
@@ -211,21 +196,37 @@ def ber_record(
     )
 
 
-def measure_symbol_power(
-    cfg: SkConfig, trials: int, steps, workers: int | None = None
-) -> dict[int, tuple[float, float]]:
-    """Empirical (mean, std-error) of X_n^2 at the requested steps."""
+def measure_symbol_power(cfg: SkConfig, trials: int, steps) -> dict[int, tuple[float, float]]:
+    """Empirical (mean, std-error) of X_n^2 at the requested steps.
+
+    Each chunk of trials is stepped up to the last requested step and its
+    sums of X_n^2 and X_n^4 are added in chunk order.  Failed trials send
+    0, so from the schedule's halt on the power is 0.
+    """
     steps = tuple(int(n) for n in steps)
     if any(not 1 <= n < cfg.n_total for n in steps):
         raise ValueError(f"power steps must lie in [1, {cfg.n_total})")
-    totals, power = _map_chunks(cfg, trials, workers, power_steps=steps)
-    n = totals["trials"]
+    alpha = _codec.schedule(cfg).alpha
+    last = max(steps, default=0)
+    sums = {n: [0.0, 0.0] for n in steps}
+    for lo, hi in _chunk_ranges(trials):
+        labels = _channel.message_indices(cfg.seed, lo, hi, cfg.k)
+        theta = index_to_value(index_of_label(labels, cfg.k, cfg.bit_mapping), cfg.k)
+        channels = _channel.make_channels(cfg, lo, hi)
+        state = _codec.sk_init(theta, cfg, channels)
+        while state.step < last:
+            state = _codec.sk_step(state, cfg, channels)
+            if state.step in sums:
+                # reconstruct this step's transmitted symbol
+                x = q_mul(float(alpha[state.step]), state.u, cfg.precision)
+                x = np.where(state.failed | ~np.isfinite(x), 0.0, x)
+                sums[state.step][0] += float(np.sum(x * x))
+                sums[state.step][1] += float(np.sum(x**4))
     out = {}
-    for step in steps:
-        s2, s4 = power[step]
-        mean = s2 / n
-        var = max(0.0, s4 / n - mean * mean)
-        out[step] = (mean, math.sqrt(var / n))
+    for step, (s2, s4) in sums.items():
+        mean = s2 / trials
+        var = max(0.0, s4 / trials - mean * mean)
+        out[step] = (mean, math.sqrt(var / trials))
     return out
 
 

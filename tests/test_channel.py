@@ -9,13 +9,11 @@ from skfb.channel import (
     ROLE_FEEDBACK,
     ROLE_FORWARD,
     AwgnChannel,
-    make_channels,
     message_indices,
     raw_stream,
     snr_db_to_noise_std,
     standard_normals,
 )
-from skfb.core import SkConfig
 
 SEED = 0xFEEDBEEF
 
@@ -53,23 +51,6 @@ def test_trial_noise_independent_of_range_boundaries():
     left = standard_normals(SEED, ROLE_FORWARD, 0, 37, 7)
     right = standard_normals(SEED, ROLE_FORWARD, 37, 100, 7)
     assert np.array_equal(full, np.vstack([left, right]))
-
-
-@pytest.mark.parametrize("n_steps", [1, 7, 8, 30])
-def test_partial_draw_is_the_leading_columns_of_the_full_draw(n_steps):
-    full = standard_normals(SEED, ROLE_FEEDBACK, 13, 90, n_steps)
-    for n_read in range(n_steps + 1):
-        part = standard_normals(SEED, ROLE_FEEDBACK, 13, 90, n_steps, n_read)
-        assert part.shape == (77, n_read)
-        assert np.array_equal(part, full[:, :n_read])
-
-
-def test_make_channels_reads_only_the_requested_uses():
-    cfg = SkConfig(k=4, n_total=12, feedback_snr_db=20.0, seed=9)
-    full = make_channels(cfg, 5, 40)
-    part = make_channels(cfg, 5, 40, 5)
-    for a, b in zip(full, part):
-        assert np.array_equal(b.noise, a.noise[:, :5])
 
 
 def test_forward_and_feedback_streams_are_independent():

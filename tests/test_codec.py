@@ -17,8 +17,6 @@ from skfb.codec import (
     schedule,
     sk_init,
     sk_step,
-    sk_step_error_recursion,
-    sk_step_estimate_difference,
     terminal_estimate_std,
 )
 from skfb.core import (
@@ -113,7 +111,7 @@ def test_noiseless_everything_is_exact():
     channels = make_channels(cfg, 0, 64)
     state = sk_init(theta, cfg, channels)
     assert np.array_equal(state.theta_hat_rx, theta)
-    first = sk_step_estimate_difference(state, cfg, channels)
+    first = sk_step(state, cfg, channels)
     assert np.all(first.u == 0.0)
     for _ in range(cfg.n_total - 2):
         state = sk_step(first, cfg, channels)
@@ -235,23 +233,6 @@ def test_schedule_halt_is_the_first_overflowing_alpha():
     assert halt(8, 24, snr=math.inf) == 24  # noiseless forward: alpha is 0
     sched = schedule(SkConfig(k=1, n_total=24, precision=PrecisionMode(8)))
     assert np.all(np.isfinite(sched.alpha[1:11])) and not np.isfinite(sched.alpha[11])
-
-
-def test_halted_state_decodes_to_zero_and_failed():
-    cfg = SkConfig(k=3, n_total=24, precision=PrecisionMode(8), seed=1)
-    halt = schedule(cfg).halt
-    assert halt == 11
-    channels = make_channels(cfg, 0, 50, halt)
-    assert channels[0].noise.shape == (50, halt)
-    state = sk_init(index_to_value(np.arange(50) % 8, 3), cfg, channels)
-    for _ in range(halt - 2):
-        state = sk_step(state, cfg, channels)
-    with pytest.raises(ValueError):
-        decode_indices(state, cfg)  # two uses before the halt: not decided yet
-    state = sk_step(state, cfg, channels)
-    idx, failed = decode_indices(state, cfg)
-    assert idx.dtype == np.uint64 and not idx.any()
-    assert failed.all()
 
 
 def test_step_and_decode_guards():

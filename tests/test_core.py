@@ -149,6 +149,8 @@ def test_config_defaults_and_validation():
         ("feedback_snr_db", dict(feedback_snr_db=math.nan)),
         ("feedback_snr_db", dict(feedback_snr_db=-math.inf)),
         ("gamma", dict(n_total=1, gamma=1.5)),
+        ("gamma", dict(gamma=0.0)),
+        ("gamma", dict(gamma=math.nan)),
     ],
 )
 def test_config_refusals_name_the_field(field, overrides):
