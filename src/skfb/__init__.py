@@ -6,7 +6,8 @@ Library layout:
     precision  emulated reduced-precision floating point
     channel    AWGN channels with counter-based reproducible noise
     codec      the SK recursion (both variants), analytic BER oracle
-    engine     BER estimation and the sweeps, returning CSV records
+    engine     BER estimation and the three sweeps, returning CSV rows;
+               SKFB_THREADS caps their worker pool
     records    CSV records and the external reference-BER table
     cli        the ``skfb`` command-line tool
 """
@@ -30,9 +31,6 @@ from .codec import (  # noqa: F401
     sk_step,
 )
 from .engine import (  # noqa: F401
-    BerEstimate,
-    best_block_length,
-    ber_record,
     estimate_ber,
     measure_symbol_power,
     sweep_block_length,

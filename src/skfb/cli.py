@@ -16,13 +16,7 @@ from dataclasses import replace
 from . import __version__
 from .codec import analytic_ber_oracle, optimize_gamma, schedule
 from .core import BitMapping, SkConfig, SkVariant
-from .engine import (
-    ber_record,
-    best_block_length,
-    sweep_block_length,
-    sweep_feedback_snr,
-    sweep_precision_grid,
-)
+from .engine import estimate_ber, sweep_block_length, sweep_feedback_snr, sweep_precision_grid
 from .precision import PrecisionMode
 from .records import (
     GammaRecord,
@@ -70,7 +64,7 @@ def _common_options(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--n", type=int, default=None, help="total channel uses")
     group.add_argument(
-        "--rate", type=float, default=None, help="coding rate K/N (default 1/3)"
+        "--rate", type=float, default=DEFAULT_RATE, help="coding rate K/N (default 1/3)"
     )
     p.add_argument("--snr-db", type=_parse_snr, default=0.0, help="forward SNR in dB")
     p.add_argument(
@@ -108,16 +102,8 @@ def _common_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
 
 
-def _rate_of(args) -> float:
-    if args.rate is not None:
-        if not 0 < args.rate <= 1:
-            raise ValueError(f"rate must be in (0, 1], got {args.rate}")
-        return args.rate
-    return DEFAULT_RATE
-
-
 def _config_from_args(args) -> SkConfig:
-    n_total = args.n if args.n is not None else max(1, round(args.k / _rate_of(args)))
+    n_total = args.n if args.n is not None else max(1, round(args.k / args.rate))
     return SkConfig(
         variant=SkVariant(args.variant),
         k=args.k,
@@ -159,11 +145,11 @@ def _k_range(args) -> range:
 
 
 def _sweep_options(args) -> dict:
-    return dict(rate=_rate_of(args), trials=args.trials, stop_at_errors=args.stop_at_errors)
+    return dict(rate=args.rate, trials=args.trials, stop_at_errors=args.stop_at_errors)
 
 
 def _cmd_ber(args) -> int:
-    _emit(args, [ber_record(_config_from_args(args), args.trials, args.stop_at_errors)])
+    _emit(args, [estimate_ber(_config_from_args(args), args.trials, args.stop_at_errors)])
     return 0
 
 
@@ -183,18 +169,11 @@ def _cmd_sweep_precision(args) -> int:
     return 0
 
 
-def _cmd_best_k(args) -> int:
-    base = _config_from_args(args)
-    rows = best_block_length(base, args.feedback_snr_db, _k_range(args), **_sweep_options(args))
-    _emit(args, rows)
-    return 0
-
-
 def _cmd_sweep_feedback(args) -> int:
     base = _config_from_args(args)
-    rows = sweep_feedback_snr(
-        base, args.feedback_snr_list, _k_range(args), **_sweep_options(args)
-    )
+    # best-k is the sweep at its one --feedback-snr-db
+    snrs = getattr(args, "feedback_snr_list", [args.feedback_snr_db])
+    rows = sweep_feedback_snr(base, snrs, _k_range(args), **_sweep_options(args))
     _emit(args, rows)
     return 0
 
@@ -279,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", type=int, default=1)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--k-step", type=int, default=1)
-    p.set_defaults(func=_cmd_best_k)
+    p.set_defaults(func=_cmd_sweep_feedback)
 
     p = sub.add_parser("sweep-feedback", help="best block length per feedback SNR")
     _common_options(p)
@@ -314,6 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.trials < 1:
+        parser.error(f"--trials must be >= 1, got {args.trials}")
+    if not 0 < args.rate <= 1:
+        parser.error(f"--rate must be in (0, 1], got {args.rate}")
     if args.stop_at_errors is not None and args.stop_at_errors < 1:
         parser.error(f"--stop-at-errors must be >= 1, got {args.stop_at_errors}")
     if hasattr(args, "k_step"):

@@ -4,10 +4,12 @@ Trials are embarrassingly parallel: noise and messages for trial ``i``
 are pure functions of (config seed, i), so the engine splits work into
 fixed-size chunks, maps them over a thread pool, and merges integer
 counts.  Results are bit-identical for any worker count; the
-``SKFB_THREADS`` environment variable caps the pool size.
+``SKFB_THREADS`` environment variable caps the pool size, for the
+library as for the command-line tool.
 
-Each sweep is the one implementation of its experiment: it returns the
-CSV rows the command-line tool prints, one timed row per cell.
+``estimate_ber`` runs one cell and returns the timed CSV row the
+command-line tool prints.  Each of the three sweeps is the one
+implementation of its experiment and returns one such row per cell.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,19 +31,6 @@ from .records import BestKRecord, PhaseRecord, ReferenceTable, RunRecord
 CHUNK_TRIALS = 1 << 15  # fixed so results never depend on worker layout
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-
-
-@dataclass(frozen=True)
-class BerEstimate:
-    """Monte Carlo BER with a 95% Wilson interval on the bit proportion."""
-
-    k: int
-    trials: int
-    bit_errors: int
-    failed_trials: int
-    ber: float
-    ci_low: float
-    ci_high: float
 
 
 def wilson_interval(errors: int, n: int, z: float = _Z95) -> tuple[float, float]:
@@ -66,20 +55,6 @@ def default_workers() -> int:
             raise ValueError(f"SKFB_THREADS must be >= 1, got {workers}")
         return workers
     return os.cpu_count() or 1
-
-
-def _make_estimate(cfg: SkConfig, trials: int, errors: int, failed: int) -> BerEstimate:
-    n_bits = trials * cfg.k
-    lo, hi = wilson_interval(errors, n_bits)
-    return BerEstimate(
-        k=cfg.k,
-        trials=trials,
-        bit_errors=errors,
-        failed_trials=failed,
-        ber=errors / n_bits,
-        ci_low=lo,
-        ci_high=hi,
-    )
 
 
 def _run_chunk(cfg: SkConfig, lo: int, hi: int) -> dict:
@@ -109,14 +84,13 @@ def _chunk_ranges(trials: int):
     return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
 
 
-def _map_chunks(cfg: SkConfig, trials: int, workers, stop_at_errors=None) -> dict:
+def _map_chunks(cfg: SkConfig, trials: int, stop_at_errors=None) -> dict:
     """Run chunks in submission waves, merging counts in chunk order.
 
     The early-stop decision is taken on the ordered cumulative counts at
     chunk boundaries, so it is independent of completion order.
     """
-    if workers is None:
-        workers = default_workers()
+    workers = default_workers()
     ranges = _chunk_ranges(trials)
     totals = {"trials": 0, "bit_errors": 0, "failed": 0}
 
@@ -144,37 +118,23 @@ def _map_chunks(cfg: SkConfig, trials: int, workers, stop_at_errors=None) -> dic
     return totals
 
 
-def estimate_ber(
-    cfg: SkConfig,
-    trials: int,
-    stop_at_errors: int | None = None,
-    workers: int | None = None,
-) -> BerEstimate:
-    """Monte Carlo BER over ``trials`` independent SK trials.
+def estimate_ber(cfg: SkConfig, trials: int, stop_at_errors: int | None = None) -> RunRecord:
+    """Monte Carlo BER over ``trials`` independent SK trials, as one CSV row.
 
-    Per-trial randomness is derived from (cfg.seed, trial index), so the
-    estimate is a pure function of (cfg, trials, stop_at_errors).  With
-    ``stop_at_errors`` set, simulation ends at the first chunk boundary
-    where at least that many bit errors have accumulated; the returned
-    ``trials`` reflects what was actually run.
+    Per-trial randomness is derived from (cfg.seed, trial index), so every
+    column but ``wall_time_seconds`` is a pure function of (cfg, trials,
+    stop_at_errors).  With ``stop_at_errors`` set, simulation ends at the
+    first chunk boundary where at least that many bit errors have
+    accumulated; the row's ``trials`` is what was actually run.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if stop_at_errors is not None and stop_at_errors < 1:
         raise ValueError(f"stop_at_errors must be >= 1, got {stop_at_errors}")
-    totals = _map_chunks(cfg, trials, workers, stop_at_errors=stop_at_errors)
-    return _make_estimate(cfg, totals["trials"], totals["bit_errors"], totals["failed"])
-
-
-def ber_record(
-    cfg: SkConfig,
-    trials: int,
-    stop_at_errors: int | None = None,
-    workers: int | None = None,
-) -> RunRecord:
-    """:func:`estimate_ber` of ``cfg`` as one CSV row, with its wall time."""
     t0 = time.perf_counter()
-    est = estimate_ber(cfg, trials, stop_at_errors=stop_at_errors, workers=workers)
+    totals = _map_chunks(cfg, trials, stop_at_errors)
+    n_bits = totals["trials"] * cfg.k
+    ci_low, ci_high = wilson_interval(totals["bit_errors"], n_bits)
     return RunRecord(
         variant=cfg.variant.value,
         k=cfg.k,
@@ -185,13 +145,13 @@ def ber_record(
         gamma=cfg.gamma,
         seed=cfg.seed,
         bit_mapping=cfg.bit_mapping.value,
-        trials=est.trials,
+        trials=totals["trials"],
         stop_at_errors=stop_at_errors,
-        bit_errors=est.bit_errors,
-        failed_trials=est.failed_trials,
-        ber=est.ber,
-        ci_low=est.ci_low,
-        ci_high=est.ci_high,
+        bit_errors=totals["bit_errors"],
+        failed_trials=totals["failed"],
+        ber=totals["bit_errors"] / n_bits,
+        ci_low=ci_low,
+        ci_high=ci_high,
         wall_time_seconds=time.perf_counter() - t0,
     )
 
@@ -203,6 +163,8 @@ def measure_symbol_power(cfg: SkConfig, trials: int, steps) -> dict[int, tuple[f
     sums of X_n^2 and X_n^4 are added in chunk order.  Failed trials send
     0, so from the schedule's halt on the power is 0.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     steps = tuple(int(n) for n in steps)
     if any(not 1 <= n < cfg.n_total for n in steps):
         raise ValueError(f"power steps must lie in [1, {cfg.n_total})")
@@ -246,39 +208,19 @@ _DOMAIN_PRECISION = 102
 _DOMAIN_BEST_K = 103
 
 
-def _n_for_rate(k: int, rate: float) -> int:
-    return max(1, round(k / rate))
+def _cell(base_cfg: SkConfig, k: int, rate: float | None, ids: tuple, **fields) -> SkConfig:
+    """Sweep cell K at ``rate`` (default: the base config's rate).
 
-
-def cfg_for_sweep_k(base_cfg: SkConfig, k: int, rate: float) -> SkConfig:
-    """Cell configuration of the block-length sweep (own derived seed)."""
+    Its seed is derived from the master seed, the sweep's ``ids`` and K;
+    ``fields`` are the other config fields the sweep sets per cell.
+    """
+    rate = base_cfg.rate if rate is None else rate
     return replace(
         base_cfg,
         k=int(k),
-        n_total=_n_for_rate(k, rate),
-        seed=derive_seed(base_cfg.seed, _DOMAIN_SWEEP_K, int(k)),
-    )
-
-
-def cfg_for_precision_cell(base_cfg: SkConfig, bits: int, k: int, rate: float) -> SkConfig:
-    """Cell configuration of the precision-vs-K grid."""
-    return replace(
-        base_cfg,
-        k=int(k),
-        n_total=_n_for_rate(k, rate),
-        precision=PrecisionMode(int(bits)),
-        seed=derive_seed(base_cfg.seed, _DOMAIN_PRECISION, int(bits), int(k)),
-    )
-
-
-def cfg_for_best_k(base_cfg: SkConfig, feedback_snr_db: float, k: int, rate: float) -> SkConfig:
-    """Cell configuration of the best-block-length search."""
-    return replace(
-        base_cfg,
-        k=int(k),
-        n_total=_n_for_rate(k, rate),
-        feedback_snr_db=float(feedback_snr_db),
-        seed=derive_seed(base_cfg.seed, _DOMAIN_BEST_K, _snr_id(feedback_snr_db), int(k)),
+        n_total=max(1, round(k / rate)),
+        seed=derive_seed(base_cfg.seed, *ids, int(k)),
+        **fields,
     )
 
 
@@ -288,16 +230,13 @@ def sweep_block_length(
     rate: float | None = None,
     trials: int = 100_000,
     stop_at_errors: int | None = None,
-    workers: int | None = None,
 ) -> list[RunRecord]:
     """One row per K at fixed rate (default: the base config's rate)."""
     k_values = list(k_range)
     if not k_values:
         raise ValueError("k_range must be non-empty")
-    if rate is None:
-        rate = base_cfg.rate
     return [
-        ber_record(cfg_for_sweep_k(base_cfg, k, rate), trials, stop_at_errors, workers)
+        estimate_ber(_cell(base_cfg, k, rate, (_DOMAIN_SWEEP_K,)), trials, stop_at_errors)
         for k in k_values
     ]
 
@@ -308,13 +247,13 @@ TIE = "tie"
 UNAVAILABLE = "unavailable"
 
 
-def classify_cell(estimate, reference_ber: float | None) -> str:
-    """Verdict of a BerEstimate or RunRecord against a reference BER."""
+def classify_cell(run: RunRecord, reference_ber: float | None) -> str:
+    """Verdict of a row's BER interval against a reference BER."""
     if reference_ber is None:
         return UNAVAILABLE
-    if estimate.ci_high < reference_ber:
+    if run.ci_high < reference_ber:
         return SK_WINS
-    if estimate.ci_low > reference_ber:
+    if run.ci_low > reference_ber:
         return REFERENCE_WINS
     return TIE
 
@@ -327,48 +266,22 @@ def sweep_precision_grid(
     trials: int = 100_000,
     rate: float | None = None,
     stop_at_errors: int | None = None,
-    workers: int | None = None,
 ) -> list[PhaseRecord]:
     """SK-vs-reference rows over (precision, block length), precision-major."""
     k_values = list(k_range)
     precisions = list(precisions)
     if not k_values or not precisions:
         raise ValueError("precision and K grids must be non-empty")
-    if rate is None:
-        rate = base_cfg.rate
     rows = []
     for bits in precisions:
         ref = reference.lookup(int(bits), base_cfg.feedback_snr_db)
         for k in k_values:
-            cfg = cfg_for_precision_cell(base_cfg, bits, k, rate)
-            run = ber_record(cfg, trials, stop_at_errors, workers)
+            ids = (_DOMAIN_PRECISION, int(bits))
+            cfg = _cell(base_cfg, k, rate, ids, precision=PrecisionMode(int(bits)))
+            run = estimate_ber(cfg, trials, stop_at_errors)
             verdict = classify_cell(run, ref)
             rows.append(PhaseRecord(**vars(run), reference_ber=ref, verdict=verdict))
     return rows
-
-
-def best_block_length(
-    base_cfg: SkConfig,
-    feedback_snr_db: float,
-    k_candidates,
-    trials: int = 100_000,
-    rate: float | None = None,
-    stop_at_errors: int | None = None,
-    workers: int | None = None,
-) -> list[BestKRecord]:
-    """One row per candidate K at one feedback SNR, in ascending K.
-
-    ``is_best`` marks the lowest BER; ties go to the smaller K.
-    """
-    candidates = sorted(set(int(k) for k in k_candidates))
-    if not candidates:
-        raise ValueError("k_candidates must be non-empty")
-    if rate is None:
-        rate = base_cfg.rate
-    cells = [cfg_for_best_k(base_cfg, feedback_snr_db, k, rate) for k in candidates]
-    runs = [ber_record(cfg, trials, stop_at_errors, workers) for cfg in cells]
-    best = min(runs, key=lambda r: r.ber)  # the first minimum has the smallest K
-    return [BestKRecord(**vars(run), is_best=run is best) for run in runs]
 
 
 def sweep_feedback_snr(
@@ -378,16 +291,22 @@ def sweep_feedback_snr(
     trials: int = 100_000,
     rate: float | None = None,
     stop_at_errors: int | None = None,
-    workers: int | None = None,
 ) -> list[BestKRecord]:
-    """The rows of :func:`best_block_length` at each SNR of ``snr_list``."""
-    snrs = list(snr_list)
+    """One row per candidate K at each feedback SNR, SNR-major, K ascending.
+
+    At each SNR ``is_best`` marks the lowest BER; ties go to the smaller K.
+    """
+    snrs = [float(snr) for snr in snr_list]
+    candidates = sorted(set(int(k) for k in k_candidates))
     if not snrs:
         raise ValueError("snr_list must be non-empty")
-    return [
-        row
-        for snr in snrs
-        for row in best_block_length(
-            base_cfg, float(snr), k_candidates, trials, rate, stop_at_errors, workers
-        )
-    ]
+    if not candidates:
+        raise ValueError("k_candidates must be non-empty")
+    rows = []
+    for snr in snrs:
+        ids = (_DOMAIN_BEST_K, _snr_id(snr))
+        cells = [_cell(base_cfg, k, rate, ids, feedback_snr_db=snr) for k in candidates]
+        runs = [estimate_ber(cfg, trials, stop_at_errors) for cfg in cells]
+        best = min(runs, key=lambda r: r.ber)  # the first minimum has the smallest K
+        rows += [BestKRecord(**vars(run), is_best=run is best) for run in runs]
+    return rows

@@ -109,19 +109,17 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def write_csv(records, stream=None, record_type=None) -> str:
+def write_csv(records, stream=None) -> str:
     """Header plus one row per record; returns the CSV text.
 
-    All records must be of one dataclass type.  ``record_type`` may be
-    given explicitly so that an empty record list still yields its header
-    row; otherwise the type is that of the first record.  With ``stream``
-    the text is written there and the empty string is returned.
+    All records must be of one dataclass type, which sets the header; an
+    empty list has no header and is refused.  With ``stream`` the text is
+    written there and the empty string is returned.
     """
     records = list(records)
-    if record_type is None:
-        if not records:
-            raise ValueError("cannot infer the header of an empty record list")
-        record_type = type(records[0])
+    if not records:
+        raise ValueError("cannot infer the header of an empty record list")
+    record_type = type(records[0])
     for rec in records:
         if type(rec) is not record_type:
             raise ValueError(

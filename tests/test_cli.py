@@ -11,7 +11,7 @@ import pytest
 from skfb.cli import main
 from skfb.codec import analytic_ber_oracle
 from skfb.core import SkConfig, SkVariant
-from skfb.engine import best_block_length
+from skfb.engine import sweep_feedback_snr
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -118,6 +118,26 @@ def test_stop_at_errors_below_one_is_a_usage_error(value, capsys):
     assert "--stop-at-errors" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["ber", "--trials", "0"], "--trials"),
+        (["sweep-k", "--k-min", "1", "--k-max", "2", "--trials", "-5"], "--trials"),
+        (["ber", "--rate", "0"], "--rate"),
+        (["ber", "--rate", "1.5"], "--rate"),
+        (["sweep-k", "--k-min", "1", "--k-max", "2", "--rate", "nan"], "--rate"),
+    ],
+    ids=["trials-0", "trials-negative", "rate-0", "rate-above-1", "rate-nan"],
+)
+def test_trials_and_rate_out_of_range_are_usage_errors(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage" in captured.err.lower() and flag in captured.err
+
+
 def test_schedule_failure_is_noted_on_stderr(capsys):
     # at 0 dB and 64 bits, alpha overflows at use 1025 of 1300
     code = main(["ber", "--k", "1", "--n", "1300", "--trials", "200"])
@@ -197,8 +217,9 @@ def test_best_k_matches_engine(capsys):
     assert len(rows) == 4
     marked = [int(r["k"]) for r in rows if r["is_best"] == "True"]
     assert len(marked) == 1
-    engine_rows = best_block_length(SkConfig(k=1, seed=3), 23.0, range(1, 5), trials=20_000)
+    engine_rows = sweep_feedback_snr(SkConfig(k=1, seed=3), [23.0], range(1, 5), trials=20_000)
     assert marked == [r.k for r in engine_rows if r.is_best]
+    assert [r["ber"] for r in rows] == [repr(r.ber) for r in engine_rows]
 
 
 def test_sweep_feedback_rows(capsys):

@@ -1,6 +1,8 @@
 """Monte Carlo engine: determinism, intervals, sweeps, comparisons."""
 
 import math
+import os
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -21,9 +23,6 @@ from skfb.core import (
 )
 from skfb.engine import (
     CHUNK_TRIALS,
-    BerEstimate,
-    best_block_length,
-    cfg_for_sweep_k,
     classify_cell,
     derive_seed,
     estimate_ber,
@@ -41,9 +40,14 @@ from skfb.precision import PrecisionMode, q_mul
 from skfb.records import BestKRecord, PhaseRecord, ReferenceTable, RunRecord
 
 
-def _estimate_fields(row) -> dict:
-    """The row's columns that a BerEstimate also has."""
-    return {name: getattr(row, name) for name in BerEstimate.__dataclass_fields__}
+def _without_wall_time(rows):
+    """The rows' columns, less the one that varies between runs."""
+    return [{**vars(r), "wall_time_seconds": None} for r in rows]
+
+
+def _threads(n: int):
+    """SKFB_THREADS=n for the duration of a ``with`` block."""
+    return mock.patch.dict(os.environ, {"SKFB_THREADS": str(n)})
 
 
 def test_noiseless_channels_give_zero_errors():
@@ -63,13 +67,17 @@ def test_k1_matches_analytic_oracle():
 def test_worker_count_does_not_change_results():
     cfg = SkConfig(k=6, n_total=18, feedback_snr_db=25.0, seed=55)
     trials = 3 * CHUNK_TRIALS + 17  # force several chunks plus a ragged tail
-    results = [estimate_ber(cfg, trials, workers=w) for w in (1, 2, 8)]
+    results = []
+    for workers in (1, 2, 8):
+        with _threads(workers):
+            results += _without_wall_time([estimate_ber(cfg, trials)])
     assert results[0] == results[1] == results[2]
 
 
 def test_repeat_runs_are_identical():
     cfg = SkConfig(k=3, n_total=9, seed=808)
-    assert estimate_ber(cfg, 40_000) == estimate_ber(cfg, 40_000)
+    runs = [estimate_ber(cfg, 40_000), estimate_ber(cfg, 40_000)]
+    assert _without_wall_time(runs[:1]) == _without_wall_time(runs[1:])
 
 
 def test_trials_validation():
@@ -121,7 +129,7 @@ def test_halted_chunks_match_a_hand_loop_over_every_use(cfg):
     trials = 300
     errors, failed, _ = _hand_loop(cfg, trials)
     with mock.patch.object(engine, "CHUNK_TRIALS", 128):  # several chunks
-        est = estimate_ber(cfg, trials, workers=1)
+        est = estimate_ber(cfg, trials)
     assert (est.trials, est.bit_errors, est.failed_trials) == (
         trials, int(errors.sum()), int(np.count_nonzero(failed))
     )
@@ -163,8 +171,9 @@ def test_early_stop_is_deterministic_and_recorded():
     assert stopped.trials < full.trials
     assert stopped.trials % CHUNK_TRIALS == 0  # cut at a chunk boundary
     assert stopped.bit_errors >= 100
-    again = estimate_ber(cfg, 5 * CHUNK_TRIALS, stop_at_errors=100, workers=4)
-    assert stopped == again
+    with _threads(4):
+        again = estimate_ber(cfg, 5 * CHUNK_TRIALS, stop_at_errors=100)
+    assert _without_wall_time([stopped]) == _without_wall_time([again])
 
 
 def test_wilson_interval_basics():
@@ -205,8 +214,9 @@ def test_sweep_block_length_single_k_equals_estimate():
     assert type(row) is RunRecord
     assert (row.k, row.n_total, row.stop_at_errors) == (1, 3, None)
     assert row.wall_time_seconds > 0
-    est = estimate_ber(cfg_for_sweep_k(base, 1, 1.0 / 3.0), 20_000)
-    assert _estimate_fields(row) == vars(est)
+    # the cell's seed comes from the master seed, the sweep's domain and K
+    cell = replace(base, k=1, n_total=3, seed=derive_seed(5, 101, 1))
+    assert _without_wall_time(rows) == _without_wall_time([estimate_ber(cell, 20_000)])
 
 
 def test_sweep_cells_stop_at_errors():
@@ -228,7 +238,7 @@ def test_derive_seed_is_stable_and_spread():
 
 
 def test_classify_cell_rules():
-    est = BerEstimate(k=1, trials=100, bit_errors=10, failed_trials=0, ber=0.1, ci_low=0.05, ci_high=0.18)
+    est = replace(estimate_ber(SkConfig(k=1), 100), ber=0.1, ci_low=0.05, ci_high=0.18)
     assert classify_cell(est, None) == UNAVAILABLE
     assert classify_cell(est, 0.5) == SK_WINS
     assert classify_cell(est, 0.01) == REFERENCE_WINS
@@ -260,14 +270,14 @@ def test_sweep_precision_grid_missing_reference_row():
 def test_best_block_length_tie_prefers_smaller_k():
     # noiseless forward channel: every candidate scores exactly zero
     base = SkConfig(k=1, forward_snr_db=math.inf, seed=9)
-    rows = best_block_length(base, math.inf, [3, 1, 2], trials=2000)
+    rows = sweep_feedback_snr(base, [math.inf], [3, 1, 2], trials=2000)
     assert [r.k for r in rows] == [1, 2, 3]
     assert [r.is_best for r in rows] == [True, False, False]
     assert all(r.ber == 0.0 for r in rows)
 
 
 def test_best_block_length_marks_the_lowest_ber():
-    rows = best_block_length(SkConfig(k=1, seed=3), 23.0, range(1, 5), trials=20_000)
+    rows = sweep_feedback_snr(SkConfig(k=1, seed=3), [23.0], range(1, 5), trials=20_000)
     assert all(type(r) is BestKRecord and r.feedback_snr_db == 23.0 for r in rows)
     best = [r for r in rows if r.is_best]
     assert len(best) == 1
@@ -275,21 +285,21 @@ def test_best_block_length_marks_the_lowest_ber():
 
 
 def test_best_block_length_rejects_empty():
-    with pytest.raises(ValueError):
-        best_block_length(SkConfig(k=1), 23.0, [], trials=10)
-
-
-def _without_wall_time(rows):
-    return [{**vars(r), "wall_time_seconds": None} for r in rows]
+    with pytest.raises(ValueError, match="k_candidates"):
+        sweep_feedback_snr(SkConfig(k=1), [23.0], [], trials=10)
+    with pytest.raises(ValueError, match="snr_list"):
+        sweep_feedback_snr(SkConfig(k=1), [], [1], trials=10)
 
 
 def test_sweep_feedback_snr_single_point():
+    # each SNR's rows, is_best included, do not depend on the other SNRs
     base = SkConfig(k=1, seed=77)
     rows = sweep_feedback_snr(base, [25.0], [1, 2], trials=20_000)
     assert len(rows) == 2
     assert {r.feedback_snr_db for r in rows} == {25.0}
-    direct = best_block_length(base, 25.0, [1, 2], trials=20_000)
-    assert _without_wall_time(rows) == _without_wall_time(direct)
+    both = sweep_feedback_snr(base, [20.0, 25.0], [1, 2], trials=20_000)
+    assert [r.feedback_snr_db for r in both] == [20.0, 20.0, 25.0, 25.0]
+    assert _without_wall_time(both[2:]) == _without_wall_time(rows)
 
 
 def test_sweep_feedback_infinite_entry_matches_noiseless():
@@ -297,7 +307,15 @@ def test_sweep_feedback_infinite_entry_matches_noiseless():
     rows = sweep_feedback_snr(base, [math.inf], [1, 2, 3], trials=20_000)
     best = next(r for r in rows if r.is_best)
     assert best.bit_errors == best.ber * best.trials * best.k
-    direct = best_block_length(base, math.inf, [1, 2, 3], trials=20_000)
+    snr_id = int(np.float64(math.inf).view(np.uint64))
+    cells = [
+        replace(base, k=k, n_total=3 * k, seed=derive_seed(4, 103, snr_id, k))
+        for k in (1, 2, 3)
+    ]
+    direct = [
+        BestKRecord(**vars(estimate_ber(cell, 20_000)), is_best=cell.k == best.k)
+        for cell in cells
+    ]
     assert _without_wall_time(rows) == _without_wall_time(direct)
 
 
@@ -320,6 +338,9 @@ def test_measure_symbol_power_validates_steps():
         measure_symbol_power(SkConfig(k=2, n_total=6), 100, [0])
     with pytest.raises(ValueError):
         measure_symbol_power(SkConfig(k=2, n_total=6), 100, [6])
+    for trials in (0, -5):
+        with pytest.raises(ValueError, match="trials"):
+            measure_symbol_power(SkConfig(k=2, n_total=6), trials, [1])
 
 
 def test_measure_symbol_power_near_unit():
@@ -367,8 +388,10 @@ def test_every_constructible_config_gives_valid_counts(
         return
     trials = 200
     with mock.patch.object(engine, "CHUNK_TRIALS", 64):  # several chunks per run
-        one = estimate_ber(cfg, trials, workers=1)
-        two = estimate_ber(cfg, trials, workers=2)
-    assert one == two
+        with _threads(1):
+            one = estimate_ber(cfg, trials)
+        with _threads(2):
+            two = estimate_ber(cfg, trials)
+    assert _without_wall_time([one]) == _without_wall_time([two])
     assert 0 <= one.bit_errors <= trials * cfg.k
     assert 0 <= one.failed_trials <= trials

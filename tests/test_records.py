@@ -8,9 +8,8 @@ from dataclasses import fields
 import pytest
 
 from skfb.core import SkConfig
-from skfb.engine import ber_record, estimate_ber
+from skfb.engine import estimate_ber
 from skfb.records import (
-    GammaRecord,
     ReferenceTableError,
     RunRecord,
     config_from_record,
@@ -63,11 +62,8 @@ def test_csv_shortest_roundtrip_reals():
     assert "1e-09" in text
 
 
-def test_empty_record_list_gives_header_only():
-    text = write_csv([], record_type=RunRecord)
-    lines = text.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("variant,k,n_total,")
+def test_empty_record_list_is_refused():
+    # an empty list has no record type to take the header from
     with pytest.raises(ValueError):
         write_csv([])
 
@@ -78,13 +74,11 @@ def test_mixed_record_types_rejected():
 
     with pytest.raises(ValueError):
         write_csv([_sample_record(), Other()])
-    with pytest.raises(ValueError):
-        write_csv([_sample_record()], record_type=GammaRecord)
 
 
 def test_run_record_replay_reproduces_ber():
     cfg = SkConfig(k=3, n_total=9, seed=99)
-    rec = ber_record(cfg, 20_000)
+    rec = estimate_ber(cfg, 20_000)
     row = next(csv.DictReader(io.StringIO(write_csv([rec]))))
     assert (row["seed"], row["ber"]) == ("99", repr(rec.ber))
     cfg2 = config_from_record(rec)
