@@ -33,8 +33,8 @@ DEFAULT_TRIALS = 100_000
 
 def _parse_snr(text: str) -> float:
     value = float(text)
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError("SNR must not be NaN")
+    if math.isnan(value) or value == -math.inf:
+        raise argparse.ArgumentTypeError(f"SNR must be a number or +inf, got {text!r}")
     return value
 
 
@@ -45,12 +45,32 @@ def _parse_u64(text: str) -> int:
     return value
 
 
+PRECISIONS = (8, 16, 32, 64)
+
+
+def _parse_precision(text: str) -> int:
+    value = int(text)
+    if value not in PRECISIONS:
+        widths = ", ".join(map(str, PRECISIONS))
+        raise argparse.ArgumentTypeError(f"width must be one of {widths}, got {value}")
+    return value
+
+
+def _entries(text: str) -> list[str]:
+    return [part for part in text.split(",") if part.strip()]
+
+
 def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    return [float(part) for part in _entries(text)]
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+# each entry is checked as its single-value flag checks it
+def _parse_snr_list(text: str) -> list[float]:
+    return [_parse_snr(part) for part in _entries(text)]
+
+
+def _parse_precision_list(text: str) -> list[int]:
+    return [_parse_precision(part) for part in _entries(text)]
 
 
 def _common_options(p: argparse.ArgumentParser) -> None:
@@ -76,7 +96,7 @@ def _common_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--precision",
         type=int,
-        choices=[8, 16, 32, 64],
+        choices=PRECISIONS,
         default=64,
         help="emulated arithmetic width (default: %(default)s)",
     )
@@ -242,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-step", type=int, default=1)
     p.add_argument(
         "--precisions",
-        type=_parse_int_list,
+        type=_parse_precision_list,
         default=[8, 16, 32, 64],
         help="comma-separated widths (default: 8,16,32,64)",
     )
@@ -267,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-step", type=int, default=1)
     p.add_argument(
         "--feedback-snr-list",
-        type=_parse_float_list,
+        type=_parse_snr_list,
         required=True,
         help="comma-separated feedback SNRs in dB",
     )

@@ -1,9 +1,11 @@
 """Deterministic parallel Monte Carlo BER estimation and the sweeps.
 
 Trials are embarrassingly parallel: noise and messages for trial ``i``
-are pure functions of (config seed, i), so the engine splits work into
-fixed-size chunks, maps them over a thread pool, and merges integer
-counts.  Results are bit-identical for any worker count; the
+are pure functions of (config seed, i), so any partition of the trials
+gives the same integer counts.  The engine splits a cell's trials into
+one near-equal contiguous part per worker, steps each part in chunks of
+at most ``CHUNK_TRIALS`` on a thread pool, and merges the counts in part
+order.  Results are bit-identical for any worker count; the
 ``SKFB_THREADS`` environment variable caps the pool size, for the
 library as for the command-line tool.
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -84,37 +87,46 @@ def _chunk_ranges(trials: int):
     return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
 
 
-def _map_chunks(cfg: SkConfig, trials: int, stop_at_errors=None) -> dict:
-    """Run chunks in submission waves, merging counts in chunk order.
+def _split(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
+    """[lo, hi) as at most ``parts`` contiguous ranges, in order, whose
+    sizes differ by at most one trial; empty ranges are left out."""
+    size, extra = divmod(hi - lo, parts)
+    cuts = [lo + i * size + min(i, extra) for i in range(parts + 1)]
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
-    The early-stop decision is taken on the ordered cumulative counts at
-    chunk boundaries, so it is independent of completion order.
+
+def _run_part(cfg: SkConfig, lo: int, hi: int) -> Counter:
+    """Counts of trials [lo, hi), run serially in near-equal chunks of at
+    most ``CHUNK_TRIALS`` trials."""
+    totals = Counter()
+    for a, b in _split(lo, hi, -(-(hi - lo) // CHUNK_TRIALS)):
+        totals.update(_run_chunk(cfg, a, b))
+    return totals
+
+
+def _map_chunks(cfg: SkConfig, trials: int, stop_at_errors=None) -> Counter:
+    """Counts of trials [0, trials), split into one part per worker.
+
+    Without ``stop_at_errors`` the whole range is split once.  With it,
+    the fixed ``CHUNK_TRIALS`` grid blocks are split one at a time, in
+    order, and the stop is decided on the cumulative counts at each block
+    boundary, so the cut point does not depend on the worker count and no
+    simulated trial is discarded.  A cell has no more parts than grid
+    blocks, so one of at most one block runs on the calling thread, as
+    does one decided from its labels (its schedule halts).
     """
-    workers = default_workers()
-    ranges = _chunk_ranges(trials)
-    totals = {"trials": 0, "bit_errors": 0, "failed": 0}
-
-    def merge(res) -> bool:
-        for key in totals:
-            totals[key] += res[key]
-        return stop_at_errors is not None and totals["bit_errors"] >= stop_at_errors
-
-    if workers == 1 or len(ranges) == 1:
-        for lo, hi in ranges:
-            if merge(_run_chunk(cfg, lo, hi)):
+    grid = _chunk_ranges(trials)
+    halts = _codec.schedule(cfg).halt < cfg.n_total
+    workers = 1 if halts else min(default_workers(), len(grid))
+    blocks = [(0, trials)] if stop_at_errors is None else grid
+    totals = Counter()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        run = map if workers == 1 else pool.map  # a 1-worker pool starts no thread
+        for lo, hi in blocks:
+            for counts in run(lambda part: _run_part(cfg, *part), _split(lo, hi, workers)):
+                totals.update(counts)
+            if stop_at_errors is not None and totals["bit_errors"] >= stop_at_errors:
                 break
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pos, stop = 0, False
-            while pos < len(ranges) and not stop:
-                wave = ranges[pos : pos + workers]
-                futures = [pool.submit(_run_chunk, cfg, lo, hi) for lo, hi in wave]
-                for fut in futures:  # in chunk order
-                    if stop:
-                        fut.result()  # drain; counts beyond the stop are discarded
-                        continue
-                    stop = merge(fut.result())
-                pos += len(wave)
     return totals
 
 
@@ -231,14 +243,15 @@ def sweep_block_length(
     trials: int = 100_000,
     stop_at_errors: int | None = None,
 ) -> list[RunRecord]:
-    """One row per K at fixed rate (default: the base config's rate)."""
-    k_values = list(k_range)
-    if not k_values:
+    """One row per K at fixed rate (default: the base config's rate).
+
+    Every cell is built before the first is simulated, so an invalid K
+    fails the sweep before any work is done.
+    """
+    cells = [_cell(base_cfg, k, rate, (_DOMAIN_SWEEP_K,)) for k in k_range]
+    if not cells:
         raise ValueError("k_range must be non-empty")
-    return [
-        estimate_ber(_cell(base_cfg, k, rate, (_DOMAIN_SWEEP_K,)), trials, stop_at_errors)
-        for k in k_values
-    ]
+    return [estimate_ber(cfg, trials, stop_at_errors) for cfg in cells]
 
 
 SK_WINS = "sk_wins"
@@ -267,20 +280,27 @@ def sweep_precision_grid(
     rate: float | None = None,
     stop_at_errors: int | None = None,
 ) -> list[PhaseRecord]:
-    """SK-vs-reference rows over (precision, block length), precision-major."""
+    """SK-vs-reference rows over (precision, block length), precision-major.
+
+    Every cell and its reference BER are built before the first cell is
+    simulated, so an invalid width or K fails the sweep before any work.
+    """
     k_values = list(k_range)
-    precisions = list(precisions)
+    precisions = [int(bits) for bits in precisions]
     if not k_values or not precisions:
         raise ValueError("precision and K grids must be non-empty")
+    cells = [
+        (
+            _cell(base_cfg, k, rate, (_DOMAIN_PRECISION, bits), precision=PrecisionMode(bits)),
+            reference.lookup(bits, base_cfg.feedback_snr_db),
+        )
+        for bits in precisions
+        for k in k_values
+    ]
     rows = []
-    for bits in precisions:
-        ref = reference.lookup(int(bits), base_cfg.feedback_snr_db)
-        for k in k_values:
-            ids = (_DOMAIN_PRECISION, int(bits))
-            cfg = _cell(base_cfg, k, rate, ids, precision=PrecisionMode(int(bits)))
-            run = estimate_ber(cfg, trials, stop_at_errors)
-            verdict = classify_cell(run, ref)
-            rows.append(PhaseRecord(**vars(run), reference_ber=ref, verdict=verdict))
+    for cfg, ref in cells:
+        run = estimate_ber(cfg, trials, stop_at_errors)
+        rows.append(PhaseRecord(**vars(run), reference_ber=ref, verdict=classify_cell(run, ref)))
     return rows
 
 
@@ -295,17 +315,25 @@ def sweep_feedback_snr(
     """One row per candidate K at each feedback SNR, SNR-major, K ascending.
 
     At each SNR ``is_best`` marks the lowest BER; ties go to the smaller K.
+    Repeated SNRs and K candidates are dropped: each SNR keeps its first
+    position.  Every cell is built before the first is simulated, so an
+    invalid SNR or K fails the sweep before any work is done.
     """
-    snrs = [float(snr) for snr in snr_list]
+    snrs = list(dict.fromkeys(float(snr) for snr in snr_list))
     candidates = sorted(set(int(k) for k in k_candidates))
     if not snrs:
         raise ValueError("snr_list must be non-empty")
     if not candidates:
         raise ValueError("k_candidates must be non-empty")
+    grid = [
+        [
+            _cell(base_cfg, k, rate, (_DOMAIN_BEST_K, _snr_id(snr)), feedback_snr_db=snr)
+            for k in candidates
+        ]
+        for snr in snrs
+    ]
     rows = []
-    for snr in snrs:
-        ids = (_DOMAIN_BEST_K, _snr_id(snr))
-        cells = [_cell(base_cfg, k, rate, ids, feedback_snr_db=snr) for k in candidates]
+    for cells in grid:
         runs = [estimate_ber(cfg, trials, stop_at_errors) for cfg in cells]
         best = min(runs, key=lambda r: r.ber)  # the first minimum has the smallest K
         rows += [BestKRecord(**vars(run), is_best=run is best) for run in runs]

@@ -138,6 +138,29 @@ def test_trials_and_rate_out_of_range_are_usage_errors(argv, flag, capsys):
     assert "usage" in captured.err.lower() and flag in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["sweep-feedback", "--k-max", "2", "--feedback-snr-list", "nan"], "--feedback-snr-list"),
+        (["sweep-feedback", "--k-max", "2", "--feedback-snr-list", "20,-inf"],
+         "--feedback-snr-list"),
+        (["sweep-precision", "--k-min", "1", "--k-max", "2", "--precisions", "8,12",
+          "--reference", "/nonexistent/ref.csv"], "--precisions"),
+        (["ber", "--feedback-snr-db=-inf"], "--feedback-snr-db"),
+        (["ber", "--snr-db=-inf"], "--snr-db"),
+    ],
+    ids=["snr-list-nan", "snr-list-minus-inf", "precisions-12", "feedback-snr-minus-inf",
+         "snr-minus-inf"],
+)
+def test_list_entries_are_checked_like_their_single_value_flags(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--trials", "10"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage" in captured.err.lower() and flag in captured.err
+
+
 def test_schedule_failure_is_noted_on_stderr(capsys):
     # at 0 dB and 64 bits, alpha overflows at use 1025 of 1300
     code = main(["ber", "--k", "1", "--n", "1300", "--trials", "200"])

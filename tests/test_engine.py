@@ -2,6 +2,7 @@
 
 import math
 import os
+import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -174,6 +175,106 @@ def test_early_stop_is_deterministic_and_recorded():
     with _threads(4):
         again = estimate_ber(cfg, 5 * CHUNK_TRIALS, stop_at_errors=100)
     assert _without_wall_time([stopped]) == _without_wall_time([again])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.integers(0, 10**6), n=st.integers(1, 10**6), parts=st.integers(1, 9))
+def test_split_covers_the_range_in_near_equal_ordered_parts(lo, n, parts):
+    pieces = engine._split(lo, lo + n, parts)
+    assert len(pieces) == min(n, parts)
+    assert pieces[0][0] == lo and pieces[-1][1] == lo + n
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(pieces, pieces[1:]))
+    sizes = [b - a for a, b in pieces]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    # a worker steps its part in chunks no larger than CHUNK_TRIALS
+    for a, b in pieces:
+        chunks = engine._split(a, b, -(-(b - a) // CHUNK_TRIALS))
+        assert max(hi - lo_ for lo_, hi in chunks) <= CHUNK_TRIALS
+
+
+def _recorded_chunks():
+    """Patch ``_run_chunk`` to record (lo, hi, thread id) of every call."""
+    calls, lock, run_chunk = [], threading.Lock(), engine._run_chunk
+
+    def record(cfg, lo, hi):
+        with lock:
+            calls.append((lo, hi, threading.get_ident()))
+        return run_chunk(cfg, lo, hi)
+
+    return calls, mock.patch.object(engine, "_run_chunk", record)
+
+
+_STOPPING = SkConfig(k=2, n_total=6, forward_snr_db=-10.0, seed=3)  # high BER
+
+
+@pytest.mark.parametrize("stop_at_errors", [1, 150])
+def test_a_stopping_cell_discards_no_simulated_trial(stop_at_errors):
+    calls, patch = _recorded_chunks()
+    with patch, mock.patch.object(engine, "CHUNK_TRIALS", 64), _threads(2):
+        row = estimate_ber(_STOPPING, 64 * 20, stop_at_errors=stop_at_errors)
+    assert row.trials < 64 * 20
+    assert sum(hi - lo for lo, hi, _ in calls) == row.trials
+
+
+@pytest.mark.parametrize(
+    "trials, stop_at_errors", [(64 * 20, 150), (1000, None), (64 * 3 + 1, None)]
+)
+def test_rows_do_not_depend_on_the_worker_count(trials, stop_at_errors):
+    rows = []
+    with mock.patch.object(engine, "CHUNK_TRIALS", 64):
+        for workers in (1, 2, 3):
+            with _threads(workers):
+                rows += _without_wall_time([estimate_ber(_STOPPING, trials, stop_at_errors)])
+    assert rows[0] == rows[1] == rows[2]
+    if stop_at_errors is None:
+        assert rows[0]["trials"] == trials
+    else:
+        assert rows[0]["trials"] < trials and rows[0]["trials"] % 64 == 0
+
+
+def test_a_cell_has_no_more_parts_than_grid_blocks():
+    calls, patch = _recorded_chunks()
+    with patch, mock.patch.object(engine, "CHUNK_TRIALS", 64), _threads(8):
+        estimate_ber(_STOPPING, 130)  # three blocks of 64, 64 and 2 trials
+    assert sorted((lo, hi) for lo, hi, _ in calls) == [(0, 44), (44, 87), (87, 130)]
+
+
+@pytest.mark.parametrize("cfg", [_HALTING[0], _HALTING[3]], ids=["w8", "n1300"])
+def test_decided_cells_run_on_the_calling_thread(cfg):
+    calls, patch = _recorded_chunks()
+    with patch, mock.patch.object(engine, "CHUNK_TRIALS", 64), _threads(2):
+        estimate_ber(cfg, 300)
+    assert len(calls) == 5
+    assert {tid for _, _, tid in calls} == {threading.get_ident()}
+
+
+_TABLE = ReferenceTable(rows={(64, math.inf): 1e-3})
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda base: sweep_block_length(base, range(63, 66), trials=10),
+        lambda base: sweep_precision_grid(base, [64], range(63, 66), _TABLE, trials=10),
+        lambda base: sweep_precision_grid(base, [64, 12], [1, 2], _TABLE, trials=10),
+        lambda base: sweep_feedback_snr(base, [20.0, math.nan], [1, 2], trials=10),
+    ],
+    ids=["sweep-k-65", "precision-k-65", "precision-12", "feedback-nan"],
+)
+def test_an_invalid_last_cell_fails_the_sweep_before_any_simulation(sweep):
+    calls, patch = _recorded_chunks()
+    with patch, pytest.raises(ValueError):
+        sweep(SkConfig(k=1, seed=1))
+    assert calls == []
+
+
+def test_repeated_feedback_snrs_are_dropped():
+    base = SkConfig(k=1, seed=12)
+    repeated = sweep_feedback_snr(base, [30.0, 20.0, 30.0, 20.0], [2, 1], trials=2000)
+    once = sweep_feedback_snr(base, [30.0, 20.0], [1, 2], trials=2000)
+    cells = [(r.feedback_snr_db, r.k) for r in repeated]
+    assert cells == [(30.0, 1), (30.0, 2), (20.0, 1), (20.0, 2)]
+    assert _without_wall_time(repeated) == _without_wall_time(once)
 
 
 def test_wilson_interval_basics():
