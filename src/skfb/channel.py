@@ -5,7 +5,8 @@ step ``n`` on a given channel role is a pure function of (master seed,
 role, i, n), independent of how trials are batched or scheduled across
 workers.  Philox provides the keyed counter stream; variates come from
 the inverse normal CDF applied to 53-bit uniforms, so consumption per
-step is fixed.
+step is fixed.  A block of noise is stored step-major, so each channel
+use reads one contiguous column.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ def raw_stream(master_seed: int, role: int, start: int, count: int) -> np.ndarra
     return bg.random_raw(count)
 
 
+# Philox words converted per pass (256 KiB): a tile is turned step-major
+# while it is in cache, so the block never needs a trial-major copy
+_TILE_WORDS = 1 << 15
+
+
 def _stride(n_steps: int) -> int:
     # words reserved per trial; 4-word alignment keeps counters block-aligned
     return 4 * ((n_steps + 3) // 4) if n_steps > 0 else 4
@@ -55,15 +61,26 @@ def standard_normals(
     """(trials, n_steps) standard normals for trials [trial_lo, trial_hi).
 
     Row i holds the variates of absolute trial index trial_lo + i; entry
-    (i, n) does not depend on the requested range boundaries.
+    (i, n) does not depend on the requested range boundaries.  The block
+    is stored step-major (the transpose of a (n_steps, trials) array), so
+    column n, the noise of channel use n, is contiguous.
     """
     n_trials = trial_hi - trial_lo
     stride = _stride(n_steps)
-    raw = raw_stream(master_seed, role, trial_lo * stride, n_trials * stride)
-    raw = raw.reshape(n_trials, stride)[:, :n_steps]
-    # (r >> 11) + 0.5 scaled by 2^-53 lies strictly inside (0, 1)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    words = raw_stream(master_seed, role, trial_lo * stride, n_trials * stride)
+    words = words.reshape(n_trials, stride)
+    out = np.empty((n_steps, n_trials))
+    tile = max(1, _TILE_WORDS // stride)
+    for lo in range(0, n_trials, tile):
+        hi = min(lo + tile, n_trials)
+        # (r >> 11) + 0.5 scaled by 2^-53 lies strictly inside (0, 1)
+        r = words[lo:hi]
+        r >>= np.uint64(11)
+        u = np.array(r[:, :n_steps].T, dtype=np.float64, order="C")
+        u += 0.5
+        u *= 2.0**-53
+        ndtri(u, out=out[:, lo:hi])
+    return out.T
 
 
 def message_indices(master_seed: int, trial_lo: int, trial_hi: int, k: int) -> np.ndarray:
@@ -80,8 +97,9 @@ class AwgnChannel:
     ``transmit(x, step)`` adds column ``step`` of a pre-derived
     counter-based (trials, steps) noise block to its input, so the noise
     of each use is a pure function of (seed, role, trial, step) and never
-    of how often the channel was used before.  ``snr_db = inf`` is a
-    noiseless passthrough.
+    of how often the channel was used before.  The block from
+    :func:`standard_normals` is stored step-major, so that column is one
+    contiguous read.  ``snr_db = inf`` is a noiseless passthrough.
     """
 
     snr_db: float
@@ -113,7 +131,9 @@ class AwgnChannel:
             raise ValueError("channel input must be finite")
         if self.noise is None:
             return xa
-        return xa + self.noise_std * self.noise[:, step]
+        y = self.noise_std * self.noise[:, step]
+        y += xa  # addition commutes, so this is xa + noise_std * z bit for bit
+        return y
 
 
 def make_channels(cfg, trial_lo: int, trial_hi: int) -> tuple[AwgnChannel, AwgnChannel]:

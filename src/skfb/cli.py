@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -71,6 +72,23 @@ def _parse_snr_list(text: str) -> list[float]:
 
 def _parse_precision_list(text: str) -> list[int]:
     return [_parse_precision(part) for part in _entries(text)]
+
+
+# argparse takes only plain negative numbers ("-3") for values; "-inf",
+# "-1e3" or "-5,10" after a flag would be read as an option name
+_FLAG = re.compile(r"--\w[\w-]*")
+_SIGNED_VALUE = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Write "--flag -5,10" as "--flag=-5,10", so the value reaches its flag."""
+    out: list[str] = []
+    for token in argv:
+        if out and _FLAG.fullmatch(out[-1]) and _SIGNED_VALUE.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _common_options(p: argparse.ArgumentParser) -> None:
@@ -312,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_signed_values(argv))
     if args.trials < 1:
         parser.error(f"--trials must be >= 1, got {args.trials}")
     if not 0 < args.rate <= 1:

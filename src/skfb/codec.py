@@ -204,19 +204,21 @@ def sk_step(state: SkState, cfg: SkConfig, channels) -> SkState:
             prev_beta = float(sched.beta[state.step])
             u_n = q_sub(state.u, q_mul(prev_beta, state.prev_y_fb, mode), mode)
         x = q_mul(alpha, u_n, mode)
-    failed = state.failed | ~np.isfinite(x)
-    x = np.where(failed, 0.0, x)
+        failed = ~np.isfinite(x)
+        failed |= state.failed
+        if failed.any():  # otherwise x already is where(failed, 0, x)
+            x = np.where(failed, 0.0, x)
 
-    y = quantize(forward.transmit(x, n), mode)
-    with np.errstate(invalid="ignore", over="ignore"):
+        y = quantize(forward.transmit(x, n), mode)
         theta_hat_rx = q_sub(state.theta_hat_rx, q_mul(beta, y, mode), mode)
+        failed |= ~np.isfinite(theta_hat_rx)
         if feedback.noise is None:  # the transmitter's copy is the receiver's
             y_fb = feedback.transmit(y, n)
             theta_hat_tx = theta_hat_rx
         else:
             y_fb = quantize(feedback.transmit(y, n), mode)
             theta_hat_tx = q_sub(state.theta_hat_tx, q_mul(beta, y_fb, mode), mode)
-    failed = failed | ~(np.isfinite(theta_hat_rx) & np.isfinite(theta_hat_tx))
+            failed |= ~np.isfinite(theta_hat_tx)
 
     return replace(
         state,

@@ -80,6 +80,8 @@ def quantize(x, mode: PrecisionMode):
     Accepts scalars or arrays and preserves the input shape.
     """
     if mode.is_identity:
+        if type(x) is np.ndarray and x.dtype == np.float64:
+            return x
         if np.isscalar(x) or isinstance(x, float):
             return float(x)
         return np.asarray(x, dtype=np.float64)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from skfb.channel import (
     ROLE_FEEDBACK,
@@ -51,6 +52,21 @@ def test_trial_noise_independent_of_range_boundaries():
     left = standard_normals(SEED, ROLE_FORWARD, 0, 37, 7)
     right = standard_normals(SEED, ROLE_FORWARD, 37, 100, 7)
     assert np.array_equal(full, np.vstack([left, right]))
+
+
+@pytest.mark.parametrize("n_steps", [1, 3, 4, 5, 150])
+# [100, 1100) spans several conversion tiles at 150 steps
+@pytest.mark.parametrize("lo, hi", [(0, 37), (37, 100), (100, 1100)])
+def test_step_major_block_matches_a_trial_major_reference(n_steps, lo, hi):
+    stride = 4 * -(-n_steps // 4)
+    words = raw_stream(SEED, ROLE_FEEDBACK, lo * stride, (hi - lo) * stride)
+    words = words.reshape(hi - lo, stride)[:, :n_steps]
+    want = ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+    got = standard_normals(SEED, ROLE_FEEDBACK, lo, hi, n_steps)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # channel use j reads one contiguous column
+    assert all(got[:, j].flags.c_contiguous for j in range(n_steps))
 
 
 def test_forward_and_feedback_streams_are_independent():

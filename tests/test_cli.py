@@ -161,6 +161,32 @@ def test_list_entries_are_checked_like_their_single_value_flags(argv, flag, caps
     assert "usage" in captured.err.lower() and flag in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, column, values",
+    [
+        (["sweep-feedback", "--k-max", "2", "--feedback-snr-list", "-5,10"],
+         "feedback_snr_db", {-5.0, 10.0}),
+        (["ber", "--snr-db", "-1e1"], "forward_snr_db", {-10.0}),
+        (["ber", "--snr-db", "-3"], "forward_snr_db", {-3.0}),
+    ],
+    ids=["snr-list", "exponent", "plain-negative"],
+)
+def test_values_with_a_leading_minus_reach_their_flag(argv, column, values, capsys):
+    code, out = run_cli(capsys, *argv, "--trials", "20")
+    assert code == 0
+    assert {float(row[column]) for row in parse_rows(out)} == values
+
+
+@pytest.mark.parametrize("flag", ["--snr-db", "--feedback-snr-db"])
+def test_minus_inf_snr_gets_the_flags_own_message(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ber", flag, "-inf", "--trials", "10"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: SNR must be a number or +inf" in captured.err
+
+
 def test_schedule_failure_is_noted_on_stderr(capsys):
     # at 0 dB and 64 bits, alpha overflows at use 1025 of 1300
     code = main(["ber", "--k", "1", "--n", "1300", "--trials", "200"])

@@ -1,12 +1,19 @@
 """SK recursion tests: fixed points, variance tracking, oracle agreement."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from skfb.channel import AwgnChannel, make_channels, message_indices
+from skfb.channel import (
+    ROLE_FORWARD,
+    AwgnChannel,
+    make_channels,
+    message_indices,
+    standard_normals,
+)
 from skfb.precision import PrecisionMode
 from skfb.codec import (
     adjacent_bitflip_total,
@@ -264,6 +271,76 @@ def test_non_finite_state_decodes_to_zero_and_flags():
     assert list(failed) == [False, True, True, False]
     labels = label_of_index(idx, cfg.k, cfg.bit_mapping)
     assert list(labels) == [5, 0, 0, 1]
+
+
+class _RecordingChannel:
+    """A forward channel that keeps each use's (input, output) pair."""
+
+    def __init__(self, channel):
+        self.channel, self.uses = channel, []
+
+    def transmit(self, x, step):
+        y = self.channel.transmit(x, step)
+        self.uses.append((np.array(x, copy=True), np.array(y, copy=True)))
+        return y
+
+
+@pytest.mark.parametrize("feedback_snr_db", [math.inf, 20.0])
+@pytest.mark.parametrize("variant", list(SkVariant))
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+def test_a_trial_failing_mid_block_sends_zero_and_leaves_the_others(bits, variant,
+                                                                     feedback_snr_db):
+    # k=3, n=9 is healthy at every width (8-bit alpha overflows at use 11)
+    cfg = SkConfig(variant=variant, k=3, n_total=9, feedback_snr_db=feedback_snr_db,
+                   precision=PrecisionMode(bits), seed=bits)
+    n_trials, bad, inject_after = 64, 5, 3
+    noise = standard_normals(cfg.seed, ROLE_FORWARD, 0, n_trials, cfg.n_total).copy()
+    noise[:, inject_after + 1:] = 0.0
+    feedback = make_channels(cfg, 0, n_trials)[1]
+    theta = index_to_value(message_indices(cfg.seed, 0, n_trials, cfg.k), cfg.k)
+
+    def run(inject):
+        forward = _RecordingChannel(AwgnChannel(snr_db=cfg.forward_snr_db, noise=noise))
+        channels = (forward, feedback)
+        state = sk_init(theta, cfg, channels)
+        states = [state]
+        for _ in range(cfg.n_total - 1):
+            if inject and state.step == inject_after:
+                rx = state.theta_hat_rx.copy()
+                aliased = state.theta_hat_tx is state.theta_hat_rx
+                tx = rx if aliased else state.theta_hat_tx.copy()
+                fields = dict(u=state.u.copy(), theta_hat_rx=rx, theta_hat_tx=tx,
+                              prev_y_fb=state.prev_y_fb.copy())
+                for array in fields.values():
+                    array[bad] = math.nan
+                state = replace(state, **fields)
+            state = sk_step(state, cfg, channels)
+            states.append(state)
+        return states, forward.uses, decode_indices(state, cfg)
+
+    clean_states, clean_uses, (clean_idx, clean_failed) = run(inject=False)
+    states, uses, (idx, failed) = run(inject=True)
+    assert not clean_failed.any()
+    assert failed[bad] and idx[bad] == 0
+    for state in states[inject_after + 1:]:
+        assert state.failed[bad]
+    for x, y in uses[inject_after + 1:]:
+        assert x[bad] == 0.0 and y[bad] == 0.0
+
+    others = np.arange(n_trials) != bad
+
+    def same(a, b):  # bit for bit on the other trials
+        a, b = a[others], b[others]
+        if a.dtype == np.float64:
+            a, b = a.view(np.uint64), b.view(np.uint64)
+        return np.array_equal(a, b)
+
+    for a, b in zip(clean_states, states):
+        for name in ("u", "theta_hat_rx", "theta_hat_tx", "prev_y_fb", "failed"):
+            assert same(getattr(a, name), getattr(b, name)), (a.step, name)
+    for (cx, cy), (x, y) in zip(clean_uses, uses):
+        assert same(cx, x) and same(cy, y)
+    assert same(clean_idx, idx) and same(clean_failed, failed)
 
 
 def test_decode_tolerates_sub_half_gap_perturbation():
