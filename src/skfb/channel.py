@@ -105,21 +105,6 @@ class AwgnChannel:
     snr_db: float
     noise: np.ndarray | None = None  # (trials, steps) standard normals
 
-    @classmethod
-    def for_trials(
-        cls,
-        snr_db: float,
-        master_seed: int,
-        role: int,
-        trial_lo: int,
-        trial_hi: int,
-        n_steps: int,
-    ) -> "AwgnChannel":
-        if snr_db == np.inf:
-            return cls(snr_db=snr_db, noise=None)
-        noise = standard_normals(master_seed, role, trial_lo, trial_hi, n_steps)
-        return cls(snr_db=snr_db, noise=noise)
-
     @property
     def noise_std(self) -> float:
         return snr_db_to_noise_std(self.snr_db)
@@ -137,11 +122,12 @@ class AwgnChannel:
 
 
 def make_channels(cfg, trial_lo: int, trial_hi: int) -> tuple[AwgnChannel, AwgnChannel]:
-    """Forward and feedback channels for a block of trials of ``cfg``."""
-    forward = AwgnChannel.for_trials(
-        cfg.forward_snr_db, cfg.seed, ROLE_FORWARD, trial_lo, trial_hi, cfg.n_total
-    )
-    feedback = AwgnChannel.for_trials(
-        cfg.feedback_snr_db, cfg.seed, ROLE_FEEDBACK, trial_lo, trial_hi, cfg.n_total
-    )
-    return forward, feedback
+    """Forward and feedback channels for trials [trial_lo, trial_hi) of ``cfg``;
+    a noiseless one (SNR = +inf) derives no noise."""
+
+    def build(snr_db: float, role: int) -> AwgnChannel:
+        if snr_db == np.inf:
+            return AwgnChannel(snr_db)
+        return AwgnChannel(snr_db, standard_normals(cfg.seed, role, trial_lo, trial_hi, cfg.n_total))
+
+    return build(cfg.forward_snr_db, ROLE_FORWARD), build(cfg.feedback_snr_db, ROLE_FEEDBACK)

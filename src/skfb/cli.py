@@ -234,7 +234,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_optimize_gamma(args) -> int:
     cfg = _config_from_args(args)
-    grid = args.gamma_grid
+    grid = sorted(set(args.gamma_grid))  # one row per distinct gamma
     gamma_star, _ = optimize_gamma(cfg, grid)
     records = [
         GammaRecord(
@@ -246,7 +246,7 @@ def _cmd_optimize_gamma(args) -> int:
             oracle_ber=analytic_ber_oracle(replace(cfg, gamma=float(g))),
             is_best=(float(g) == gamma_star),
         )
-        for g in sorted(grid)
+        for g in grid
     ]
     _emit(args, records)
     return 0

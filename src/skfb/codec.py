@@ -25,6 +25,9 @@ and receipt of a channel output rounds it into the state's precision.
 State fields are arrays over a block of trials; a block of one gives the
 single-trial view.  Trials whose state goes non-finite are flagged
 failed, transmit zeros from then on, and decode to position 0.
+
+``block_states`` is the one loop over a block's channel uses; it yields
+the state after each use, whose ``SkState.x`` is the symbol that use sent.
 """
 
 from __future__ import annotations
@@ -37,15 +40,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import channel as _channel
-from .core import (
-    BitMapping,
-    SkConfig,
-    SkVariant,
-    label_of_index,
-    pam_step,
-    popcount_u64,
-    value_to_index,
-)
+from .core import BitMapping, SkConfig, SkVariant, pam_step, value_to_index
 from .precision import q_add, q_div, q_mul, q_sqrt, q_sub, quantize
 
 SIGNAL_POWER = 1.0  # per-symbol power constraint P
@@ -133,6 +128,7 @@ class SkState:
     theta_hat_tx: np.ndarray  # transmitter's tracked copy
     prev_y_fb: np.ndarray  # last feedback output Ytilde_n (quantized)
     failed: np.ndarray  # trials that went non-finite
+    x: np.ndarray  # symbol sent at this use; 0 in trials failed before it
     step: int  # index of the last channel use, in [0, n_total)
 
 
@@ -172,6 +168,7 @@ def sk_init(theta, cfg: SkConfig, channels) -> SkState:
         theta_hat_tx=theta_hat_tx,
         prev_y_fb=y0_fb,
         failed=failed,
+        x=x0,
         step=0,
     )
 
@@ -227,6 +224,7 @@ def sk_step(state: SkState, cfg: SkConfig, channels) -> SkState:
         theta_hat_tx=theta_hat_tx,
         prev_y_fb=y_fb,
         failed=failed,
+        x=x,
         step=n,
     )
 
@@ -244,11 +242,20 @@ def decode_indices(state: SkState, cfg: SkConfig) -> tuple[np.ndarray, np.ndarra
     return idx, failed
 
 
-def run_block(cfg: SkConfig, theta, channels) -> tuple[np.ndarray, np.ndarray]:
-    """Full encode-transmit-decode pass; returns (indices, failed)."""
+def block_states(cfg: SkConfig, theta, channels):
+    """The :func:`sk_init` state, then each :func:`sk_step` state, in
+    order; a caller that needs only the first uses stops iterating early."""
     state = sk_init(theta, cfg, channels)
+    yield state
     for _ in range(cfg.n_total - 1):
         state = sk_step(state, cfg, channels)
+        yield state
+
+
+def run_block(cfg: SkConfig, theta, channels) -> tuple[np.ndarray, np.ndarray]:
+    """Full encode-transmit-decode pass; returns (indices, failed)."""
+    for state in block_states(cfg, theta, channels):
+        pass
     return decode_indices(state, cfg)
 
 
@@ -270,14 +277,10 @@ def terminal_estimate_std(cfg: SkConfig) -> float:
 def adjacent_bitflip_total(k: int, mapping: BitMapping) -> int:
     """Sum of bit flips over all ordered adjacent constellation pairs.
 
-    Enumerated directly for small constellations; for larger ones the
-    label structure gives the total in closed form (natural binary:
-    2*(2M - 2 - k); Gray: 2*(M - 1), one flip per gap).
+    The label structure gives the total in closed form: natural binary
+    flips 2*(2M - 2 - k) bits, Gray 2*(M - 1), one flip per gap.
     """
     m_points = 1 << k
-    if k <= 16:
-        labels = label_of_index(np.arange(m_points, dtype=np.uint64), k, mapping)
-        return 2 * int(popcount_u64(labels[1:] ^ labels[:-1]).sum())
     if mapping is BitMapping.NATURAL:
         return 2 * (2 * m_points - 2 - k)
     return 2 * (m_points - 1)

@@ -17,6 +17,7 @@ implementation of its experiment and returns one such row per cell.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from collections import Counter
@@ -28,7 +29,7 @@ import numpy as np
 from . import channel as _channel
 from . import codec as _codec
 from .core import SkConfig, index_of_label, index_to_value, label_of_index, popcount_u64
-from .precision import PrecisionMode, q_mul
+from .precision import PrecisionMode
 from .records import BestKRecord, PhaseRecord, ReferenceTable, RunRecord
 
 CHUNK_TRIALS = 1 << 15  # fixed so results never depend on worker layout
@@ -53,9 +54,12 @@ def default_workers() -> int:
     """Worker cap: SKFB_THREADS if set, else the machine's CPU count."""
     env = os.environ.get("SKFB_THREADS")
     if env:
-        workers = int(env)
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
         if workers < 1:
-            raise ValueError(f"SKFB_THREADS must be >= 1, got {workers}")
+            raise ValueError(f"SKFB_THREADS must be an integer >= 1, got {env!r}")
         return workers
     return os.cpu_count() or 1
 
@@ -171,31 +175,30 @@ def estimate_ber(cfg: SkConfig, trials: int, stop_at_errors: int | None = None) 
 def measure_symbol_power(cfg: SkConfig, trials: int, steps) -> dict[int, tuple[float, float]]:
     """Empirical (mean, std-error) of X_n^2 at the requested steps.
 
-    Each chunk of trials is stepped up to the last requested step and its
-    sums of X_n^2 and X_n^4 are added in chunk order.  Failed trials send
-    0, so from the schedule's halt on the power is 0.
+    Each chunk of trials walks the block loop up to the last requested
+    step, and the sums of the sent X_n^2 and X_n^4 are added in chunk
+    order.  Failed trials send 0, so from the schedule's halt on the
+    power is 0.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    steps = tuple(int(n) for n in steps)
+    steps = tuple(steps)
+    if not all(isinstance(n, numbers.Integral) for n in steps):
+        raise ValueError(f"steps must be integers, got {steps!r}")
     if any(not 1 <= n < cfg.n_total for n in steps):
-        raise ValueError(f"power steps must lie in [1, {cfg.n_total})")
-    alpha = _codec.schedule(cfg).alpha
-    last = max(steps, default=0)
-    sums = {n: [0.0, 0.0] for n in steps}
+        raise ValueError(f"steps must lie in [1, {cfg.n_total}), got {steps!r}")
+    sums = {int(n): [0.0, 0.0] for n in steps}
+    last = max(sums, default=0)
     for lo, hi in _chunk_ranges(trials):
         labels = _channel.message_indices(cfg.seed, lo, hi, cfg.k)
         theta = index_to_value(index_of_label(labels, cfg.k, cfg.bit_mapping), cfg.k)
-        channels = _channel.make_channels(cfg, lo, hi)
-        state = _codec.sk_init(theta, cfg, channels)
-        while state.step < last:
-            state = _codec.sk_step(state, cfg, channels)
+        for state in _codec.block_states(cfg, theta, _channel.make_channels(cfg, lo, hi)):
             if state.step in sums:
-                # reconstruct this step's transmitted symbol
-                x = q_mul(float(alpha[state.step]), state.u, cfg.precision)
-                x = np.where(state.failed | ~np.isfinite(x), 0.0, x)
+                x = state.x
                 sums[state.step][0] += float(np.sum(x * x))
                 sums[state.step][1] += float(np.sum(x**4))
+            if state.step == last:
+                break
     out = {}
     for step, (s2, s4) in sums.items():
         mean = s2 / trials
@@ -282,11 +285,12 @@ def sweep_precision_grid(
 ) -> list[PhaseRecord]:
     """SK-vs-reference rows over (precision, block length), precision-major.
 
-    Every cell and its reference BER are built before the first cell is
+    A repeated width is dropped: each keeps its first position.  Every
+    cell and its reference BER are built before the first cell is
     simulated, so an invalid width or K fails the sweep before any work.
     """
     k_values = list(k_range)
-    precisions = [int(bits) for bits in precisions]
+    precisions = list(dict.fromkeys(int(bits) for bits in precisions))
     if not k_values or not precisions:
         raise ValueError("precision and K grids must be non-empty")
     cells = [

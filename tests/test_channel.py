@@ -1,6 +1,7 @@
 """Noise-stream determinism, statistics, and channel contracts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,24 +11,41 @@ from skfb.channel import (
     ROLE_FEEDBACK,
     ROLE_FORWARD,
     AwgnChannel,
+    make_channels,
     message_indices,
     raw_stream,
     snr_db_to_noise_std,
     standard_normals,
 )
+from skfb.core import SkConfig
 
 SEED = 0xFEEDBEEF
 
 
+def _forward(snr_db: float, trials: int, n_steps: int) -> AwgnChannel:
+    cfg = SkConfig(k=1, n_total=n_steps, forward_snr_db=snr_db, seed=SEED)
+    return make_channels(cfg, 0, trials)[0]
+
+
+def test_make_channels_derives_each_roles_noise():
+    cfg = SkConfig(k=2, n_total=5, forward_snr_db=3.0, feedback_snr_db=20.0, seed=SEED)
+    forward, feedback = make_channels(cfg, 10, 40)
+    assert (forward.snr_db, feedback.snr_db) == (3.0, 20.0)
+    assert np.array_equal(forward.noise, standard_normals(SEED, ROLE_FORWARD, 10, 40, 5))
+    assert np.array_equal(feedback.noise, standard_normals(SEED, ROLE_FEEDBACK, 10, 40, 5))
+    forward, feedback = make_channels(replace(cfg, feedback_snr_db=math.inf), 10, 40)
+    assert forward.noise is not None and feedback.noise is None
+
+
 def test_noiseless_passthrough():
-    ch = AwgnChannel.for_trials(math.inf, SEED, ROLE_FORWARD, 0, 4, 3)
+    ch = _forward(math.inf, 4, 3)
     x = np.array([0.5, -1.0, 2.0, 0.0])
     assert np.array_equal(ch.transmit(x, 2), x)
     assert ch.noise_std == 0.0
 
 
 def test_zero_db_noise_variance():
-    ch = AwgnChannel.for_trials(0.0, SEED, ROLE_FORWARD, 0, 1_000_000, 1)
+    ch = _forward(0.0, 1_000_000, 1)
     y = ch.transmit(np.zeros(1_000_000), 0)
     assert np.var(y) == pytest.approx(1.0, abs=0.01)
     assert np.mean(y) == pytest.approx(0.0, abs=0.01)
@@ -80,17 +98,17 @@ def test_forward_and_feedback_streams_are_independent():
 def test_empirical_snr_convention():
     # unit-power +/-1 input at 10 dB: Var(y - x) = 0.1
     n = 200_000
-    ch = AwgnChannel.for_trials(10.0, SEED, ROLE_FORWARD, 0, n, 1)
+    ch = _forward(10.0, n, 1)
     x = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     y = ch.transmit(x, 0)
     assert np.var(y - x) == pytest.approx(0.1, rel=0.03)
 
 
 def test_transmit_rejects_non_finite():
-    ch = AwgnChannel.for_trials(0.0, SEED, ROLE_FORWARD, 0, 2, 1)
+    ch = _forward(0.0, 2, 1)
     with pytest.raises(ValueError):
         ch.transmit(np.array([1.0, np.nan]), 0)
-    ch2 = AwgnChannel.for_trials(math.inf, SEED, ROLE_FORWARD, 0, 2, 1)
+    ch2 = _forward(math.inf, 2, 1)
     with pytest.raises(ValueError):
         ch2.transmit(np.inf, 0)
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -307,6 +308,30 @@ def test_optimize_gamma_subcommand(capsys):
     best = [float(r["gamma"]) for r in rows if r["is_best"] == "True"]
     assert len(best) == 1
     assert best[0] > 1.0
+
+
+def test_repeated_gammas_get_one_row(capsys):
+    code, out = run_cli(
+        capsys, "optimize-gamma", "--k", "4", "--gamma-grid", "0.5,2,2,1",
+    )
+    assert code == 0
+    rows = parse_rows(out)
+    assert [float(r["gamma"]) for r in rows] == [0.5, 1.0, 2.0]
+    assert [r["is_best"] for r in rows].count("True") == 1
+
+
+def test_repeated_precisions_are_simulated_once(capsys):
+    reference = str(pathlib.Path(__file__).resolve().parent.parent / "data"
+                    / "deepcode_reference_sample.csv")
+    argv = ["sweep-precision", "--k-min", "2", "--k-max", "2", "--trials", "100",
+            "--reference", reference]
+    rows = {}
+    for precisions in ("8,8,16", "8,16"):
+        code, out = run_cli(capsys, *argv, "--precisions", precisions)
+        assert code == 0
+        rows[precisions] = [{**r, "wall_time_seconds": None} for r in parse_rows(out)]
+    assert [r["precision_bits"] for r in rows["8,8,16"]] == ["8", "16"]
+    assert rows["8,8,16"] == rows["8,16"]
 
 
 def test_out_file_and_reference_flow(capsys, tmp_path):

@@ -323,9 +323,13 @@ def test_a_trial_failing_mid_block_sends_zero_and_leaves_the_others(bits, varian
     assert not clean_failed.any()
     assert failed[bad] and idx[bad] == 0
     for state in states[inject_after + 1:]:
-        assert state.failed[bad]
+        assert state.failed[bad] and state.x[bad] == 0.0
     for x, y in uses[inject_after + 1:]:
         assert x[bad] == 0.0 and y[bad] == 0.0
+    # each state carries, bit for bit, the symbol its use sent
+    for run_states, run_uses in ((clean_states, clean_uses), (states, uses)):
+        for state, (x, _) in zip(run_states, run_uses, strict=True):
+            assert np.array_equal(state.x.view(np.uint64), x.view(np.uint64)), state.step
 
     others = np.arange(n_trials) != bad
 
@@ -336,7 +340,7 @@ def test_a_trial_failing_mid_block_sends_zero_and_leaves_the_others(bits, varian
         return np.array_equal(a, b)
 
     for a, b in zip(clean_states, states):
-        for name in ("u", "theta_hat_rx", "theta_hat_tx", "prev_y_fb", "failed"):
+        for name in ("u", "theta_hat_rx", "theta_hat_tx", "prev_y_fb", "failed", "x"):
             assert same(getattr(a, name), getattr(b, name)), (a.step, name)
     for (cx, cy), (x, y) in zip(clean_uses, uses):
         assert same(cx, x) and same(cy, y)
@@ -401,15 +405,12 @@ def test_terminal_std_closed_form():
 
 
 def test_adjacency_totals_match_enumeration():
-    # closed form (used for k > 16) against direct popcount enumeration
-    for k in (17, 18):
-        m = 1 << k
-        labels = label_of_index(np.arange(m, dtype=np.uint64), k, BitMapping.NATURAL)
-        brute = 2 * int(popcount_u64(labels[1:] ^ labels[:-1]).sum())
-        assert adjacent_bitflip_total(k, BitMapping.NATURAL) == brute
-        gray = label_of_index(np.arange(m, dtype=np.uint64), k, BitMapping.GRAY)
-        brute_gray = 2 * int(popcount_u64(gray[1:] ^ gray[:-1]).sum())
-        assert adjacent_bitflip_total(k, BitMapping.GRAY) == brute_gray
+    # the closed forms against direct popcount enumeration
+    for k in range(1, 19):
+        for mapping in BitMapping:
+            labels = label_of_index(np.arange(1 << k, dtype=np.uint64), k, mapping)
+            brute = 2 * int(popcount_u64(labels[1:] ^ labels[:-1]).sum())
+            assert adjacent_bitflip_total(k, mapping) == brute, (k, mapping)
     assert adjacent_bitflip_total(3, BitMapping.NATURAL) == 22
     assert adjacent_bitflip_total(3, BitMapping.GRAY) == 14
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from skfb import channel, engine
+from skfb import channel, codec, engine
 from skfb.channel import make_channels, message_indices
 from skfb.codec import analytic_ber_oracle, decode_indices, schedule, sk_init, sk_step
 from skfb.core import (
@@ -277,6 +277,23 @@ def test_repeated_feedback_snrs_are_dropped():
     assert _without_wall_time(repeated) == _without_wall_time(once)
 
 
+def test_repeated_precisions_are_dropped():
+    table = ReferenceTable(rows={(64, math.inf): 1.0, (8, math.inf): 1.0})
+    base = SkConfig(k=1, seed=12)
+    repeated = sweep_precision_grid(base, [64, 8, 64, 8], [1, 2], table, trials=2000)
+    once = sweep_precision_grid(base, [64, 8], [1, 2], table, trials=2000)
+    cells = [(r.precision_bits, r.k) for r in repeated]
+    assert cells == [(64, 1), (64, 2), (8, 1), (8, 2)]
+    assert _without_wall_time(repeated) == _without_wall_time(once)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc", "1.5"])
+def test_skfb_threads_must_be_a_positive_integer(value):
+    with mock.patch.dict(os.environ, {"SKFB_THREADS": value}):
+        with pytest.raises(ValueError, match="SKFB_THREADS"):
+            engine.default_workers()
+
+
 def test_wilson_interval_basics():
     lo, hi = wilson_interval(0, 1000)
     assert lo == 0.0
@@ -442,6 +459,21 @@ def test_measure_symbol_power_validates_steps():
     for trials in (0, -5):
         with pytest.raises(ValueError, match="trials"):
             measure_symbol_power(SkConfig(k=2, n_total=6), trials, [1])
+    for steps in ([1.7, 2], [np.float64(2.0)]):
+        with pytest.raises(ValueError, match="steps"):
+            measure_symbol_power(SkConfig(k=2, n_total=6), 100, steps)
+    # numpy integers are steps like any other
+    numpy_steps = measure_symbol_power(SkConfig(k=2, n_total=6), 100, np.arange(1, 3))
+    assert numpy_steps == measure_symbol_power(SkConfig(k=2, n_total=6), 100, [1, 2])
+    assert all(type(step) is int for step in numpy_steps)
+
+
+@pytest.mark.parametrize("steps", [(), (2,), (1, 4, 3)])
+def test_measure_symbol_power_steps_each_chunk_to_its_last_step(steps):
+    with mock.patch.object(engine, "CHUNK_TRIALS", 64):  # four chunks
+        with mock.patch.object(codec, "sk_step", wraps=codec.sk_step) as spy:
+            measure_symbol_power(SkConfig(k=2, n_total=6), 200, steps)
+    assert spy.call_count == 4 * max(steps, default=0)
 
 
 def test_measure_symbol_power_near_unit():
