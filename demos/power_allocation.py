@@ -12,6 +12,8 @@ Runtime: instant (closed form, no simulation).
 
 import sys
 
+from dataclasses import replace
+
 from skfb import SkConfig, analytic_ber_oracle, optimize_gamma
 from skfb.codec import terminal_estimate_std
 
@@ -20,17 +22,15 @@ GRID = [0.25 * i for i in range(2, 17)]  # 0.5 .. 4.0
 
 def main() -> int:
     cfg = SkConfig(k=10, n_total=30, forward_snr_db=0.0)
-    gamma_star, ber_star = optimize_gamma(cfg, GRID)
+    rows = optimize_gamma(cfg, GRID)
 
     print("gamma,terminal_std,oracle_ber,is_best")
-    for gamma in GRID:
-        c = SkConfig(k=10, n_total=30, gamma=gamma)
-        print(
-            f"{gamma!r},{terminal_estimate_std(c)!r},"
-            f"{analytic_ber_oracle(c)!r},{gamma == gamma_star}"
-        )
+    for row in rows:
+        spread = terminal_estimate_std(replace(cfg, gamma=row.gamma))
+        print(f"{row.gamma!r},{spread!r},{row.oracle_ber!r},{row.is_best}")
+    [best] = [row for row in rows if row.is_best]
     print()
-    print(f"best gamma on the grid: {gamma_star} (oracle BER {ber_star!r})")
+    print(f"best gamma on the grid: {best.gamma} (oracle BER {best.oracle_ber!r})")
     uniform = analytic_ber_oracle(cfg)
     print(f"uniform allocation (gamma=1) oracle BER: {uniform!r}")
     return 0

@@ -2,7 +2,8 @@
 
 Every subcommand prints plot-ready CSV (header + one row per result) to
 stdout or ``--out``.  Rows are self-describing: replaying a row's config
-columns reproduces its ber exactly.  Exit codes: 0 success, 1 runtime
+columns reproduces its ber exactly.  Each subcommand takes only the
+flags it reads, written in full.  Exit codes: 0 success, 1 runtime
 error, 2 usage error.
 """
 
@@ -12,7 +13,7 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 from . import __version__
 from .codec import analytic_ber_oracle, optimize_gamma, schedule
@@ -20,9 +21,9 @@ from .core import BitMapping, SkConfig, SkVariant
 from .engine import estimate_ber, sweep_block_length, sweep_feedback_snr, sweep_precision_grid
 from .precision import PrecisionMode
 from .records import (
-    GammaRecord,
     OracleRecord,
     RunRecord,
+    config_columns,
     config_from_record,
     read_reference_table,
     write_csv,
@@ -43,6 +44,20 @@ def _parse_u64(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit an unsigned 64-bit integer")
+    return value
+
+
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _parse_rate(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"rate must be in (0, 1], got {text!r}")
     return value
 
 
@@ -91,68 +106,75 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _common_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--variant",
+# every flag of the tool; each subcommand names the ones it reads
+_FLAGS = {
+    "--variant": dict(
         choices=[v.value for v in SkVariant],
         default=SkVariant.ESTIMATE_DIFFERENCE.value,
         help="SK recursion form (default: %(default)s)",
-    )
-    p.add_argument("--k", type=int, default=1, help="information bits per block")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--n", type=int, default=None, help="total channel uses")
-    group.add_argument(
-        "--rate", type=float, default=DEFAULT_RATE, help="coding rate K/N (default 1/3)"
-    )
-    p.add_argument("--snr-db", type=_parse_snr, default=0.0, help="forward SNR in dB")
-    p.add_argument(
-        "--feedback-snr-db",
-        type=_parse_snr,
-        default=math.inf,
-        help="feedback SNR in dB, 'inf' for noiseless (default)",
-    )
-    p.add_argument(
-        "--precision",
-        type=int,
-        choices=PRECISIONS,
-        default=64,
+    ),
+    "--k": dict(type=int, default=1, help="information bits per block"),
+    "--k-min": dict(
+        dest="k", metavar="K_MIN", type=int, required=True,
+        help="smallest K; the other flags are checked against this cell",
+    ),
+    "--k-max": dict(type=int, required=True, help="largest K"),
+    "--k-step": dict(type=int, default=1, help="K increment (default 1)"),
+    "--n": dict(type=int, default=None, help="total channel uses"),
+    "--rate": dict(type=_parse_rate, default=DEFAULT_RATE, help="coding rate K/N (default 1/3)"),
+    "--snr-db": dict(
+        dest="forward_snr_db", metavar="SNR_DB", type=_parse_snr, default=0.0,
+        help="forward SNR in dB",
+    ),
+    "--feedback-snr-db": dict(
+        type=_parse_snr, default=math.inf, help="feedback SNR in dB, 'inf' for noiseless (default)"
+    ),
+    "--feedback-snr-list": dict(
+        type=_parse_snr_list, required=True, help="comma-separated feedback SNRs in dB"
+    ),
+    "--precision": dict(
+        type=int, choices=PRECISIONS, default=64,
         help="emulated arithmetic width (default: %(default)s)",
-    )
-    p.add_argument(
-        "--gamma", type=float, default=1.0, help="first-use power fraction (default 1.0)"
-    )
-    p.add_argument("--seed", type=_parse_u64, default=0, help="master seed")
-    p.add_argument(
-        "--bit-mapping",
+    ),
+    "--precisions": dict(
+        type=_parse_precision_list, default=[8, 16, 32, 64],
+        help="comma-separated widths (default: 8,16,32,64)",
+    ),
+    "--reference": dict(
+        required=True, help="CSV with header precision_bits,feedback_snr_db,reference_ber"
+    ),
+    "--gamma": dict(type=float, default=1.0, help="first-use power fraction (default 1.0)"),
+    "--gamma-grid": dict(
+        type=_parse_float_list, required=True, help="comma-separated gamma values to scan"
+    ),
+    "--seed": dict(type=_parse_u64, default=0, help="master seed"),
+    "--bit-mapping": dict(
         choices=[m.value for m in BitMapping],
         default=BitMapping.NATURAL.value,
         help="bits-to-position labeling (default: %(default)s)",
-    )
-    p.add_argument(
-        "--trials", type=int, default=DEFAULT_TRIALS, help="Monte Carlo trials per cell"
-    )
-    p.add_argument(
-        "--stop-at-errors",
-        type=int,
-        default=None,
+    ),
+    "--trials": dict(
+        type=_parse_count, default=DEFAULT_TRIALS, help="Monte Carlo trials per cell"
+    ),
+    "--stop-at-errors": dict(
+        type=_parse_count, default=None,
         help="stop a cell early once this many bit errors accumulate",
-    )
-    p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+    ),
+    "--out": dict(default=None, help="output CSV path (default: stdout)"),
+}
+_EXCLUSIVE = ("--n", "--rate")
 
 
 def _config_from_args(args) -> SkConfig:
+    """The cell the flags describe.  A field whose flag the subcommand
+    does not take keeps SkConfig's default, which is the flag's default."""
+    cfg = {f.name: getattr(args, f.name) for f in fields(SkConfig) if hasattr(args, f.name)}
+    for name, kind in (("variant", SkVariant), ("precision", PrecisionMode),
+                       ("bit_mapping", BitMapping)):
+        if name in cfg:
+            cfg[name] = kind(cfg[name])
     n_total = args.n if args.n is not None else max(1, round(args.k / args.rate))
-    return SkConfig(
-        variant=SkVariant(args.variant),
-        k=args.k,
-        n_total=n_total,
-        forward_snr_db=args.snr_db,
-        feedback_snr_db=args.feedback_snr_db,
-        precision=PrecisionMode(args.precision),
-        gamma=args.gamma,
-        seed=args.seed,
-        bit_mapping=BitMapping(args.bit_mapping),
-    )
+    return SkConfig(**cfg, n_total=n_total)
 
 
 def _emit(args, records) -> None:
@@ -179,152 +201,88 @@ def _note_schedule_failure(rec: RunRecord) -> None:
 
 
 def _k_range(args) -> range:
-    return range(args.k_min, args.k_max + 1, args.k_step)
+    return range(args.k, args.k_max + 1, args.k_step)
 
 
 def _sweep_options(args) -> dict:
     return dict(rate=args.rate, trials=args.trials, stop_at_errors=args.stop_at_errors)
 
 
-def _cmd_ber(args) -> int:
-    _emit(args, [estimate_ber(_config_from_args(args), args.trials, args.stop_at_errors)])
-    return 0
+def _cmd_ber(args) -> list:
+    return [estimate_ber(_config_from_args(args), args.trials, args.stop_at_errors)]
 
 
-def _cmd_sweep_k(args) -> int:
-    base = _config_from_args(args)
-    _emit(args, sweep_block_length(base, _k_range(args), **_sweep_options(args)))
-    return 0
+def _cmd_sweep_k(args) -> list:
+    return sweep_block_length(_config_from_args(args), _k_range(args), **_sweep_options(args))
 
 
-def _cmd_sweep_precision(args) -> int:
-    base = _config_from_args(args)
+def _cmd_sweep_precision(args) -> list:
     reference = read_reference_table(args.reference)
-    rows = sweep_precision_grid(
-        base, args.precisions, _k_range(args), reference, **_sweep_options(args)
+    return sweep_precision_grid(
+        _config_from_args(args), args.precisions, _k_range(args), reference,
+        **_sweep_options(args),
     )
-    _emit(args, rows)
-    return 0
 
 
-def _cmd_sweep_feedback(args) -> int:
+def _cmd_sweep_feedback(args) -> list:
     base = _config_from_args(args)
     # best-k is the sweep at its one --feedback-snr-db
-    snrs = getattr(args, "feedback_snr_list", [args.feedback_snr_db])
-    rows = sweep_feedback_snr(base, snrs, _k_range(args), **_sweep_options(args))
-    _emit(args, rows)
-    return 0
+    snrs = getattr(args, "feedback_snr_list", [base.feedback_snr_db])
+    return sweep_feedback_snr(base, snrs, _k_range(args), **_sweep_options(args))
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> list:
     cfg = _config_from_args(args)
-    record = OracleRecord(
-        variant=cfg.variant.value,
-        k=cfg.k,
-        n_total=cfg.n_total,
-        forward_snr_db=cfg.forward_snr_db,
-        feedback_snr_db=cfg.feedback_snr_db,
-        gamma=cfg.gamma,
-        bit_mapping=cfg.bit_mapping.value,
-        oracle_ber=analytic_ber_oracle(cfg),
-    )
-    _emit(args, [record])
-    return 0
+    return [OracleRecord(**config_columns(cfg, OracleRecord), oracle_ber=analytic_ber_oracle(cfg))]
 
 
-def _cmd_optimize_gamma(args) -> int:
-    cfg = _config_from_args(args)
-    grid = sorted(set(args.gamma_grid))  # one row per distinct gamma
-    gamma_star, _ = optimize_gamma(cfg, grid)
-    records = [
-        GammaRecord(
-            k=cfg.k,
-            n_total=cfg.n_total,
-            forward_snr_db=cfg.forward_snr_db,
-            bit_mapping=cfg.bit_mapping.value,
-            gamma=float(g),
-            oracle_ber=analytic_ber_oracle(replace(cfg, gamma=float(g))),
-            is_best=(float(g) == gamma_star),
-        )
-        for g in grid
-    ]
-    _emit(args, records)
-    return 0
+def _cmd_optimize_gamma(args) -> list:
+    return optimize_gamma(_config_from_args(args), args.gamma_grid)
+
+
+_CELL = ("--variant", "--n", "--rate", "--snr-db", "--bit-mapping", "--gamma")
+_RUN = ("--seed", "--trials", "--stop-at-errors", "--out")
+_K_RANGE = ("--k-min", "--k-max", "--k-step")
+_K_FROM_1 = (("--k-min", dict(required=False, default=1)), "--k-max", "--k-step")
+
+# name, help, command, flags: a flag is named, or paired with the settings
+# that differ from its _FLAGS entry; help lists the flags in _FLAGS order
+_SUBCOMMANDS = (
+    ("ber", "single BER estimate", _cmd_ber,
+     ("--k", *_CELL, "--feedback-snr-db", "--precision", *_RUN)),
+    ("sweep-k", "BER vs block length at fixed rate", _cmd_sweep_k,
+     (*_K_RANGE, *_CELL, "--feedback-snr-db", "--precision", *_RUN)),
+    ("sweep-precision", "SK-vs-reference grid over precision and block length",
+     _cmd_sweep_precision,
+     (*_K_RANGE, *_CELL, "--feedback-snr-db", "--precisions", "--reference", *_RUN)),
+    ("best-k", "best block length at one feedback SNR", _cmd_sweep_feedback,
+     (*_K_FROM_1, *_CELL, "--feedback-snr-db", "--precision", *_RUN)),
+    ("sweep-feedback", "best block length per feedback SNR", _cmd_sweep_feedback,
+     (*_K_FROM_1, *_CELL, "--feedback-snr-list", "--precision", *_RUN)),
+    ("oracle", "closed-form BER for noiseless feedback", _cmd_oracle,
+     ("--k", *_CELL, "--feedback-snr-db", "--out")),
+    ("optimize-gamma", "grid-optimize first-use power fraction", _cmd_optimize_gamma,
+     ("--k", "--n", "--rate", "--snr-db", "--bit-mapping", "--feedback-snr-db", "--gamma-grid",
+      "--out")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skfb",
         description="Monte Carlo BER experiments for SK feedback coding over AWGN",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"skfb {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ber", help="single BER estimate")
-    _common_options(p)
-    p.set_defaults(func=_cmd_ber)
-
-    p = sub.add_parser("sweep-k", help="BER vs block length at fixed rate")
-    _common_options(p)
-    p.add_argument("--k-min", type=int, required=True)
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--k-step", type=int, default=1)
-    p.set_defaults(func=_cmd_sweep_k)
-
-    p = sub.add_parser(
-        "sweep-precision", help="SK-vs-reference grid over precision and block length"
-    )
-    _common_options(p)
-    p.add_argument("--k-min", type=int, required=True)
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--k-step", type=int, default=1)
-    p.add_argument(
-        "--precisions",
-        type=_parse_precision_list,
-        default=[8, 16, 32, 64],
-        help="comma-separated widths (default: 8,16,32,64)",
-    )
-    p.add_argument(
-        "--reference",
-        required=True,
-        help="CSV with header precision_bits,feedback_snr_db,reference_ber",
-    )
-    p.set_defaults(func=_cmd_sweep_precision)
-
-    p = sub.add_parser("best-k", help="best block length at one feedback SNR")
-    _common_options(p)
-    p.add_argument("--k-min", type=int, default=1)
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--k-step", type=int, default=1)
-    p.set_defaults(func=_cmd_sweep_feedback)
-
-    p = sub.add_parser("sweep-feedback", help="best block length per feedback SNR")
-    _common_options(p)
-    p.add_argument("--k-min", type=int, default=1)
-    p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--k-step", type=int, default=1)
-    p.add_argument(
-        "--feedback-snr-list",
-        type=_parse_snr_list,
-        required=True,
-        help="comma-separated feedback SNRs in dB",
-    )
-    p.set_defaults(func=_cmd_sweep_feedback)
-
-    p = sub.add_parser("oracle", help="closed-form BER for noiseless feedback")
-    _common_options(p)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("optimize-gamma", help="grid-optimize first-use power fraction")
-    _common_options(p)
-    p.add_argument(
-        "--gamma-grid",
-        type=_parse_float_list,
-        required=True,
-        help="comma-separated gamma values to scan",
-    )
-    p.set_defaults(func=_cmd_optimize_gamma)
-
+    for name, help_text, command, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        exclusive = p.add_mutually_exclusive_group()
+        specs = [flag if isinstance(flag, tuple) else (flag, {}) for flag in flags]
+        for flag, settings in sorted(specs, key=lambda spec: list(_FLAGS).index(spec[0])):
+            target = exclusive if flag in _EXCLUSIVE else p
+            target.add_argument(flag, **{**_FLAGS[flag], **settings})
+        p.set_defaults(func=command)
     return parser
 
 
@@ -332,24 +290,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_signed_values(argv))
-    if args.trials < 1:
-        parser.error(f"--trials must be >= 1, got {args.trials}")
-    if not 0 < args.rate <= 1:
-        parser.error(f"--rate must be in (0, 1], got {args.rate}")
-    if args.stop_at_errors is not None and args.stop_at_errors < 1:
-        parser.error(f"--stop-at-errors must be >= 1, got {args.stop_at_errors}")
     if hasattr(args, "k_step"):
         if args.n is not None:
             parser.error("--n sets a single cell's N; sweeps set each cell's N from --rate")
         if args.k_step < 1:
             parser.error(f"--k-step must be >= 1, got {args.k_step}")
-        if args.k_max < args.k_min:
-            parser.error(f"--k-max {args.k_max} is below --k-min {args.k_min}")
+        if args.k_max < args.k:
+            parser.error(f"--k-max {args.k_max} is below --k-min {args.k}")
     try:
-        return args.func(args)
+        _emit(args, args.func(args))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"skfb: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

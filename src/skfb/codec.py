@@ -42,6 +42,7 @@ from scipy.special import ndtr
 from . import channel as _channel
 from .core import BitMapping, SkConfig, SkVariant, pam_step, value_to_index
 from .precision import q_add, q_div, q_mul, q_sqrt, q_sub, quantize
+from .records import GammaRecord, config_columns
 
 SIGNAL_POWER = 1.0  # per-symbol power constraint P
 
@@ -303,25 +304,32 @@ def analytic_ber_oracle(cfg: SkConfig) -> float:
     return q * total / (cfg.k * (1 << cfg.k))
 
 
-def optimize_gamma(cfg: SkConfig, grid) -> tuple[float, float]:
-    """Grid-minimize the oracle BER over first-use power fractions.
+def optimize_gamma(cfg: SkConfig, grid) -> list[GammaRecord]:
+    """The oracle BER at each first-use power fraction, as CSV rows.
 
-    The energy constraint is applied through ``residual_power``: raising
-    gamma drains the later uses.  Grid points are ranked by the terminal
-    estimate spread, the strictly monotone core of the oracle, so the
-    ordering stays meaningful even where the BER itself underflows to
-    zero.  Ties go to the smaller gamma.
+    One row per distinct gamma of ``grid``, ascending; ``cfg``'s own
+    gamma is not used.  The energy constraint is applied through
+    ``residual_power``: raising gamma drains the later uses.  Exactly one
+    row has ``is_best``: grid points are ranked by the terminal estimate
+    spread, the strictly monotone core of the oracle, so the ranking stays
+    meaningful even where the BER itself underflows to zero, and ties go
+    to the smaller gamma.
     """
-    grid = list(grid)
+    grid = sorted(set(float(g) for g in grid))
     if not grid:
         raise ValueError("gamma grid must be non-empty")
     if any(g <= 0 for g in grid):
         raise ValueError("gamma grid values must be positive")
     if cfg.feedback_snr_db != math.inf:
         raise ValueError("gamma optimization requires noiseless feedback")
-    best_gamma, best_spread = None, math.inf
-    for g in sorted(grid):
-        spread = terminal_estimate_std(replace(cfg, gamma=float(g)))
-        if spread < best_spread:
-            best_gamma, best_spread = float(g), spread
-    return best_gamma, analytic_ber_oracle(replace(cfg, gamma=best_gamma))
+    cells = [replace(cfg, gamma=g) for g in grid]
+    spreads = [terminal_estimate_std(c) for c in cells]
+    best = spreads.index(min(spreads))  # the first minimum has the smallest gamma
+    return [
+        GammaRecord(
+            **config_columns(c, GammaRecord),
+            oracle_ber=analytic_ber_oracle(c),
+            is_best=i == best,
+        )
+        for i, c in enumerate(cells)
+    ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,10 +60,24 @@ class SkConfig:
     bit_mapping: BitMapping = BitMapping.NATURAL
 
     def __post_init__(self):
+        if self.n_total is None and isinstance(self.k, numbers.Integral):
+            object.__setattr__(self, "n_total", 3 * self.k)
+        for name in ("k", "n_total", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name, kind in (
+            ("variant", SkVariant),
+            ("precision", PrecisionMode),
+            ("bit_mapping", BitMapping),
+        ):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(
+                    f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}"
+                )
         if not 1 <= self.k <= MAX_K:
             raise ValueError(f"k must be in [1, {MAX_K}], got {self.k}")
-        if self.n_total is None:
-            object.__setattr__(self, "n_total", 3 * self.k)
         if self.n_total < 1:
             raise ValueError(f"n_total must be >= 1, got {self.n_total}")
         for name in ("forward_snr_db", "feedback_snr_db"):

@@ -30,7 +30,7 @@ from . import channel as _channel
 from . import codec as _codec
 from .core import SkConfig, index_of_label, index_to_value, label_of_index, popcount_u64
 from .precision import PrecisionMode
-from .records import BestKRecord, PhaseRecord, ReferenceTable, RunRecord
+from .records import BestKRecord, PhaseRecord, ReferenceTable, RunRecord, config_columns
 
 CHUNK_TRIALS = 1 << 15  # fixed so results never depend on worker layout
 
@@ -134,6 +134,11 @@ def _map_chunks(cfg: SkConfig, trials: int, stop_at_errors=None) -> Counter:
     return totals
 
 
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def estimate_ber(cfg: SkConfig, trials: int, stop_at_errors: int | None = None) -> RunRecord:
     """Monte Carlo BER over ``trials`` independent SK trials, as one CSV row.
 
@@ -143,24 +148,15 @@ def estimate_ber(cfg: SkConfig, trials: int, stop_at_errors: int | None = None) 
     first chunk boundary where at least that many bit errors have
     accumulated; the row's ``trials`` is what was actually run.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if stop_at_errors is not None and stop_at_errors < 1:
-        raise ValueError(f"stop_at_errors must be >= 1, got {stop_at_errors}")
+    _check_count("trials", trials)
+    if stop_at_errors is not None:
+        _check_count("stop_at_errors", stop_at_errors)
     t0 = time.perf_counter()
     totals = _map_chunks(cfg, trials, stop_at_errors)
     n_bits = totals["trials"] * cfg.k
     ci_low, ci_high = wilson_interval(totals["bit_errors"], n_bits)
     return RunRecord(
-        variant=cfg.variant.value,
-        k=cfg.k,
-        n_total=cfg.n_total,
-        forward_snr_db=cfg.forward_snr_db,
-        feedback_snr_db=cfg.feedback_snr_db,
-        precision_bits=cfg.precision.width,
-        gamma=cfg.gamma,
-        seed=cfg.seed,
-        bit_mapping=cfg.bit_mapping.value,
+        **config_columns(cfg, RunRecord),
         trials=totals["trials"],
         stop_at_errors=stop_at_errors,
         bit_errors=totals["bit_errors"],
@@ -180,8 +176,7 @@ def measure_symbol_power(cfg: SkConfig, trials: int, steps) -> dict[int, tuple[f
     order.  Failed trials send 0, so from the schedule's halt on the
     power is 0.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_count("trials", trials)
     steps = tuple(steps)
     if not all(isinstance(n, numbers.Integral) for n in steps):
         raise ValueError(f"steps must be integers, got {steps!r}")
@@ -232,7 +227,7 @@ def _cell(base_cfg: SkConfig, k: int, rate: float | None, ids: tuple, **fields) 
     rate = base_cfg.rate if rate is None else rate
     return replace(
         base_cfg,
-        k=int(k),
+        k=k,
         n_total=max(1, round(k / rate)),
         seed=derive_seed(base_cfg.seed, *ids, int(k)),
         **fields,
@@ -248,10 +243,11 @@ def sweep_block_length(
 ) -> list[RunRecord]:
     """One row per K at fixed rate (default: the base config's rate).
 
-    Every cell is built before the first is simulated, so an invalid K
-    fails the sweep before any work is done.
+    A repeated K is dropped: each keeps its first position.  Every cell
+    is built before the first is simulated, so an invalid K fails the
+    sweep before any work is done.
     """
-    cells = [_cell(base_cfg, k, rate, (_DOMAIN_SWEEP_K,)) for k in k_range]
+    cells = [_cell(base_cfg, k, rate, (_DOMAIN_SWEEP_K,)) for k in dict.fromkeys(k_range)]
     if not cells:
         raise ValueError("k_range must be non-empty")
     return [estimate_ber(cfg, trials, stop_at_errors) for cfg in cells]
@@ -285,11 +281,11 @@ def sweep_precision_grid(
 ) -> list[PhaseRecord]:
     """SK-vs-reference rows over (precision, block length), precision-major.
 
-    A repeated width is dropped: each keeps its first position.  Every
-    cell and its reference BER are built before the first cell is
+    A repeated width or K is dropped: each keeps its first position.
+    Every cell and its reference BER are built before the first cell is
     simulated, so an invalid width or K fails the sweep before any work.
     """
-    k_values = list(k_range)
+    k_values = list(dict.fromkeys(k_range))
     precisions = list(dict.fromkeys(int(bits) for bits in precisions))
     if not k_values or not precisions:
         raise ValueError("precision and K grids must be non-empty")
@@ -324,7 +320,7 @@ def sweep_feedback_snr(
     invalid SNR or K fails the sweep before any work is done.
     """
     snrs = list(dict.fromkeys(float(snr) for snr in snr_list))
-    candidates = sorted(set(int(k) for k in k_candidates))
+    candidates = sorted(set(k_candidates))
     if not snrs:
         raise ValueError("snr_list must be non-empty")
     if not candidates:

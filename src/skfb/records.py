@@ -86,6 +86,23 @@ class GammaRecord:
     tool_version: str = __version__
 
 
+def config_columns(cfg: SkConfig, record_type) -> dict:
+    """The config columns ``record_type`` declares, filled from ``cfg``;
+    the inverse of :func:`config_from_record`."""
+    columns = {
+        "variant": cfg.variant.value,
+        "k": cfg.k,
+        "n_total": cfg.n_total,
+        "forward_snr_db": cfg.forward_snr_db,
+        "feedback_snr_db": cfg.feedback_snr_db,
+        "precision_bits": cfg.precision.width,
+        "gamma": cfg.gamma,
+        "seed": cfg.seed,
+        "bit_mapping": cfg.bit_mapping.value,
+    }
+    return {f.name: columns[f.name] for f in fields(record_type) if f.name in columns}
+
+
 def config_from_record(rec: RunRecord) -> SkConfig:
     """Rebuild the exact configuration a record was produced with."""
     return SkConfig(

@@ -1,5 +1,6 @@
 """Command-line surface tests (parsing, CSV output, exit codes)."""
 
+import argparse
 import csv
 import io
 import math
@@ -9,10 +10,14 @@ import sys
 
 import pytest
 
-from skfb.cli import main
+from skfb.cli import build_parser, main
 from skfb.codec import analytic_ber_oracle
 from skfb.core import SkConfig, SkVariant
 from skfb.engine import sweep_feedback_snr
+
+
+REFERENCE = str(pathlib.Path(__file__).resolve().parent.parent / "data"
+                / "deepcode_reference_sample.csv")
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -321,10 +326,8 @@ def test_repeated_gammas_get_one_row(capsys):
 
 
 def test_repeated_precisions_are_simulated_once(capsys):
-    reference = str(pathlib.Path(__file__).resolve().parent.parent / "data"
-                    / "deepcode_reference_sample.csv")
     argv = ["sweep-precision", "--k-min", "2", "--k-max", "2", "--trials", "100",
-            "--reference", reference]
+            "--reference", REFERENCE]
     rows = {}
     for precisions in ("8,8,16", "8,16"):
         code, out = run_cli(capsys, *argv, "--precisions", precisions)
@@ -376,3 +379,118 @@ def test_n_and_rate_mutually_exclusive():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def _subparsers() -> dict:
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+# the smallest call of each subcommand, and a value other than the call's
+# for every flag
+_BASE_ARGV = {
+    "ber": ["--trials", "200"],
+    "sweep-k": ["--k-min", "1", "--k-max", "3", "--trials", "200"],
+    "sweep-precision": ["--k-min", "1", "--k-max", "3", "--reference", REFERENCE,
+                        "--trials", "200"],
+    "best-k": ["--k-max", "3", "--trials", "200"],
+    "sweep-feedback": ["--k-max", "3", "--feedback-snr-list", "20", "--trials", "200"],
+    "oracle": [],
+    "optimize-gamma": ["--gamma-grid", "0.5,1,2"],
+}
+_OTHER_VALUE = {
+    "--variant": "error-recursion",
+    "--k": "2",
+    "--k-min": "2",
+    "--k-max": "4",
+    "--k-step": "2",
+    "--n": "5",
+    "--rate": "0.5",
+    "--snr-db": "3",
+    "--feedback-snr-db": "20",
+    "--feedback-snr-list": "30",
+    "--precision": "32",
+    "--precisions": "16",
+    "--reference": None,  # a table with other BERs, written per test
+    "--gamma": "1.5",
+    "--gamma-grid": "0.5,3",
+    "--seed": "5",
+    "--bit-mapping": "gray",
+    "--trials": "300",
+    "--stop-at-errors": "5",
+}
+_FLAG_CASES = [
+    (command, action.option_strings[0])
+    for command, sub in _subparsers().items()
+    for action in sub._actions
+    if action.option_strings and action.option_strings[0] not in ("-h", "--out")
+]
+
+
+def _rows_or_none(capsys, argv):
+    """The rows less wall_time_seconds, or None if the call exits non-zero."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    if code != 0:
+        return None
+    return [{**row, "wall_time_seconds": None} for row in parse_rows(out)]
+
+
+@pytest.mark.parametrize(
+    "command, flag", _FLAG_CASES, ids=[f"{c} {f}" for c, f in _FLAG_CASES]
+)
+def test_no_flag_is_silently_ignored(command, flag, capsys, tmp_path):
+    value = _OTHER_VALUE[flag]
+    if flag == "--reference":
+        value = tmp_path / "ref.csv"
+        value.write_text("precision_bits,feedback_snr_db,reference_ber\n8,inf,0.5\n",
+                         encoding="utf-8")
+    base = _rows_or_none(capsys, [command, *_BASE_ARGV[command]])
+    assert base is not None
+    changed = _rows_or_none(capsys, [command, *_BASE_ARGV[command], flag, str(value)])
+    assert changed != base
+
+
+_SMALL_SWEEP = ["--k-max", "2", "--trials", "10"]
+_UNREAD = [  # the tested flag comes second
+    ["sweep-k", "--k", "2", "--k-min", "1", *_SMALL_SWEEP],
+    ["sweep-precision", "--k", "2", "--k-min", "1", "--reference", REFERENCE, *_SMALL_SWEEP],
+    ["sweep-precision", "--precision", "8", "--k-min", "1", "--reference", REFERENCE,
+     *_SMALL_SWEEP],
+    ["best-k", "--k", "2", *_SMALL_SWEEP],
+    ["sweep-feedback", "--k", "2", "--feedback-snr-list", "20", *_SMALL_SWEEP],
+    ["sweep-feedback", "--feedback-snr-db", "20", "--feedback-snr-list", "20", *_SMALL_SWEEP],
+    ["oracle", "--precision", "8"],
+    ["oracle", "--seed", "9"],
+    ["oracle", "--trials", "5"],
+    ["oracle", "--stop-at-errors", "5"],
+    ["optimize-gamma", "--precision", "8", "--gamma-grid", "1"],
+    ["optimize-gamma", "--seed", "9", "--gamma-grid", "1"],
+    ["optimize-gamma", "--trials", "5", "--gamma-grid", "1"],
+    ["optimize-gamma", "--stop-at-errors", "5", "--gamma-grid", "1"],
+    ["optimize-gamma", "--gamma", "2", "--gamma-grid", "1"],
+    ["optimize-gamma", "--variant", "error-recursion", "--gamma-grid", "1"],
+    ["ber", "--trial", "7"],  # an abbreviation of --trials is not expanded
+]
+
+
+@pytest.mark.parametrize("argv", _UNREAD, ids=[" ".join(argv[:2]) for argv in _UNREAD])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+def test_a_sweep_checks_its_flags_against_its_first_cell(capsys):
+    # gamma 5 needs n_total > 5; the base cell is K=10, n_total=30
+    code, out = run_cli(capsys, "sweep-k", "--gamma", "5", "--k-min", "10", "--k-max", "10",
+                        "--trials", "10")
+    assert code == 0
+    rows = parse_rows(out)
+    assert [(r["k"], r["n_total"], r["gamma"]) for r in rows] == [("10", "30", "5.0")]

@@ -437,15 +437,29 @@ def test_gray_oracle_is_lower_than_natural():
 
 
 def test_optimize_gamma_singleton():
-    assert optimize_gamma(SkConfig(k=2, n_total=6), [1.0])[0] == 1.0
+    [row] = optimize_gamma(SkConfig(k=2, n_total=6), [1.0])
+    assert row.gamma == 1.0 and row.is_best
 
 
 def test_optimize_gamma_prefers_boosted_first_use():
     cfg = SkConfig(k=10, n_total=30)
     grid = [0.5 + 0.25 * i for i in range(13)]  # 0.5 .. 3.5
-    gamma_star, ber_star = optimize_gamma(cfg, grid)
-    assert gamma_star > 1.0
-    assert ber_star <= analytic_ber_oracle(cfg)
+    [best] = [row for row in optimize_gamma(cfg, grid) if row.is_best]
+    assert best.gamma > 1.0
+    assert best.oracle_ber <= analytic_ber_oracle(cfg)
+
+
+def test_optimize_gamma_rows_are_distinct_ascending_and_ties_go_to_the_smaller_gamma():
+    # a noiseless forward channel gives every gamma the same zero spread
+    cfg = SkConfig(k=2, n_total=6, forward_snr_db=math.inf, bit_mapping=BitMapping.GRAY)
+    rows = optimize_gamma(cfg, [2.0, 0.5, 1, 0.5])
+    assert [row.gamma for row in rows] == [0.5, 1.0, 2.0]
+    assert [row.is_best for row in rows] == [True, False, False]
+    for row in rows:
+        assert (row.k, row.n_total, row.forward_snr_db, row.bit_mapping) == (
+            2, 6, math.inf, "gray"
+        )
+        assert row.oracle_ber == analytic_ber_oracle(replace(cfg, gamma=row.gamma))
 
 
 def test_optimize_gamma_rejects_bad_grids():

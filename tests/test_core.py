@@ -151,11 +151,25 @@ def test_config_defaults_and_validation():
         ("gamma", dict(n_total=1, gamma=1.5)),
         ("gamma", dict(gamma=0.0)),
         ("gamma", dict(gamma=math.nan)),
+        ("seed", dict(seed=1.5)),
+        ("seed", dict(seed=True)),
+        ("k", dict(k=2.5)),
+        ("k", dict(k=True)),
+        ("n_total", dict(n_total=6.0)),
+        ("precision", dict(precision=16)),
+        ("variant", dict(variant="estimate-diff")),
+        ("bit_mapping", dict(bit_mapping="gray")),
     ],
 )
 def test_config_refusals_name_the_field(field, overrides):
     with pytest.raises(ValueError, match=field):
-        SkConfig(k=2, **overrides)
+        SkConfig(**{"k": 2, **overrides})
+
+
+def test_config_stores_integer_fields_as_int():
+    cfg = SkConfig(k=np.int64(3), n_total=np.uint8(9), seed=np.uint64(2**63))
+    assert (cfg.k, cfg.n_total, cfg.seed) == (3, 9, 2**63)
+    assert all(type(v) is int for v in (cfg.k, cfg.n_total, cfg.seed))
 
 
 def test_config_accepts_the_edges_the_model_honours():

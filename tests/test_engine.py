@@ -92,6 +92,20 @@ def test_stop_at_errors_below_one_is_refused(stop_at_errors):
         estimate_ber(SkConfig(k=2), 1000, stop_at_errors=stop_at_errors)
 
 
+@pytest.mark.parametrize(
+    "name, counts",
+    [
+        ("trials", dict(trials=1000.0)),
+        ("trials", dict(trials=True)),
+        ("stop_at_errors", dict(trials=1000, stop_at_errors=2.5)),
+        ("stop_at_errors", dict(trials=1000, stop_at_errors=True)),
+    ],
+)
+def test_non_integer_counts_are_refused(name, counts):
+    with pytest.raises(ValueError, match=name):
+        estimate_ber(SkConfig(k=2), **counts)
+
+
 def _hand_loop(cfg, trials):
     """Every one of the n_total uses, stepped by hand over all trials.
 
@@ -285,6 +299,23 @@ def test_repeated_precisions_are_dropped():
     cells = [(r.precision_bits, r.k) for r in repeated]
     assert cells == [(64, 1), (64, 2), (8, 1), (8, 2)]
     assert _without_wall_time(repeated) == _without_wall_time(once)
+
+
+def test_repeated_k_values_are_dropped():
+    table = ReferenceTable(rows={(64, math.inf): 1.0})
+    base = SkConfig(k=1, seed=3)
+    for sweep in (
+        lambda ks: sweep_block_length(base, ks, trials=500),
+        lambda ks: sweep_precision_grid(base, [64], ks, table, trials=500),
+    ):
+        repeated, once = sweep([3, 2, 3, 2]), sweep([3, 2])
+        assert [r.k for r in repeated] == [3, 2]
+        assert _without_wall_time(repeated) == _without_wall_time(once)
+
+
+def test_a_non_integer_k_fails_the_sweep():
+    with pytest.raises(ValueError, match="k must be an integer"):
+        sweep_block_length(SkConfig(k=1), [2, 2.5], trials=10)
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "abc", "1.5"])
