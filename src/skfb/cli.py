@@ -225,10 +225,9 @@ def _cmd_sweep_precision(args) -> list:
 
 
 def _cmd_sweep_feedback(args) -> list:
-    base = _config_from_args(args)
-    # best-k is the sweep at its one --feedback-snr-db
-    snrs = getattr(args, "feedback_snr_list", [base.feedback_snr_db])
-    return sweep_feedback_snr(base, snrs, _k_range(args), **_sweep_options(args))
+    return sweep_feedback_snr(
+        _config_from_args(args), args.feedback_snr_list, _k_range(args), **_sweep_options(args)
+    )
 
 
 def _cmd_oracle(args) -> list:
@@ -255,8 +254,6 @@ _SUBCOMMANDS = (
     ("sweep-precision", "SK-vs-reference grid over precision and block length",
      _cmd_sweep_precision,
      (*_K_RANGE, *_CELL, "--feedback-snr-db", "--precisions", "--reference", *_RUN)),
-    ("best-k", "best block length at one feedback SNR", _cmd_sweep_feedback,
-     (*_K_FROM_1, *_CELL, "--feedback-snr-db", "--precision", *_RUN)),
     ("sweep-feedback", "best block length per feedback SNR", _cmd_sweep_feedback,
      (*_K_FROM_1, *_CELL, "--feedback-snr-list", "--precision", *_RUN)),
     ("oracle", "closed-form BER for noiseless feedback", _cmd_oracle,

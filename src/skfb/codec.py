@@ -66,9 +66,7 @@ class Schedule:
     trial sends 0.
     """
 
-    sigma2: float
-    p_rest: float
-    sqrt_gamma: float
+    sqrt_gamma: np.ndarray  # 0-d
     alpha: np.ndarray
     beta: np.ndarray
     u_var: np.ndarray
@@ -105,7 +103,7 @@ def schedule(cfg: SkConfig) -> Schedule:
         alpha[1:] = 0.0
         beta[1:] = 0.0
         u_var[1:] = 0.0
-        return Schedule(sigma2, p_rest, sqrt_gamma, alpha, beta, u_var, n)
+        return Schedule(sqrt_gamma, alpha, beta, u_var, n)
 
     denom = q_add(p_rest, sigma2, mode)
     ratio = q_div(sigma2, denom, mode)
@@ -116,7 +114,7 @@ def schedule(cfg: SkConfig) -> Schedule:
         u_var[i + 1] = q_mul(u_var[i], ratio, mode)
     overflowed = np.flatnonzero(~np.isfinite(alpha[1:]))
     halt = int(overflowed[0]) + 1 if overflowed.size else n
-    return Schedule(sigma2, p_rest, sqrt_gamma, alpha, beta, u_var, halt)
+    return Schedule(sqrt_gamma, alpha, beta, u_var, halt)
 
 
 @dataclass

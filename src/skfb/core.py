@@ -67,6 +67,11 @@ class SkConfig:
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        for name in ("forward_snr_db", "feedback_snr_db", "gamma"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         for name, kind in (
             ("variant", SkVariant),
             ("precision", PrecisionMode),

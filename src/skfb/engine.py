@@ -3,10 +3,10 @@
 Trials are embarrassingly parallel: noise and messages for trial ``i``
 are pure functions of (config seed, i), so any partition of the trials
 gives the same integer counts.  The engine splits a cell's trials into
-one near-equal contiguous part per worker, steps each part in chunks of
-at most ``CHUNK_TRIALS`` on a thread pool, and merges the counts in part
-order.  Results are bit-identical for any worker count; the
-``SKFB_THREADS`` environment variable caps the pool size, for the
+near-equal contiguous chunks of at most ``CHUNK_TRIALS``, a multiple of
+the worker count of them, runs them on a thread pool, and merges the
+counts in chunk order.  Results are bit-identical for any worker count;
+the ``SKFB_THREADS`` environment variable caps the pool size, for the
 library as for the command-line tool.
 
 ``estimate_ber`` runs one cell and returns the timed CSV row the
@@ -99,35 +99,26 @@ def _split(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-def _run_part(cfg: SkConfig, lo: int, hi: int) -> Counter:
-    """Counts of trials [lo, hi), run serially in near-equal chunks of at
-    most ``CHUNK_TRIALS`` trials."""
-    totals = Counter()
-    for a, b in _split(lo, hi, -(-(hi - lo) // CHUNK_TRIALS)):
-        totals.update(_run_chunk(cfg, a, b))
-    return totals
-
-
 def _map_chunks(cfg: SkConfig, trials: int, stop_at_errors=None) -> Counter:
-    """Counts of trials [0, trials), split into one part per worker.
+    """Counts of trials [0, trials), merged in chunk order.
 
-    Without ``stop_at_errors`` the whole range is split once.  With it,
-    the fixed ``CHUNK_TRIALS`` grid blocks are split one at a time, in
-    order, and the stop is decided on the cumulative counts at each block
+    Without ``stop_at_errors`` the whole range is one block.  With it,
+    the fixed ``CHUNK_TRIALS`` grid blocks run one at a time, in order,
+    and the stop is decided on the cumulative counts at each block
     boundary, so the cut point does not depend on the worker count and no
-    simulated trial is discarded.  A cell has no more parts than grid
-    blocks, so one of at most one block runs on the calling thread, as
-    does one decided from its labels (its schedule halts).
+    simulated trial is discarded.  Each block is split into near-equal
+    chunks of at most ``CHUNK_TRIALS`` trials, a multiple of the worker
+    count of them, which the pool runs in order.
     """
     grid = _chunk_ranges(trials)
-    halts = _codec.schedule(cfg).halt < cfg.n_total
-    workers = 1 if halts else min(default_workers(), len(grid))
+    workers = min(default_workers(), len(grid))
     blocks = [(0, trials)] if stop_at_errors is None else grid
     totals = Counter()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         run = map if workers == 1 else pool.map  # a 1-worker pool starts no thread
         for lo, hi in blocks:
-            for counts in run(lambda part: _run_part(cfg, *part), _split(lo, hi, workers)):
+            chunks = _split(lo, hi, workers * -(-(hi - lo) // (workers * CHUNK_TRIALS)))
+            for counts in run(lambda chunk: _run_chunk(cfg, *chunk), chunks):
                 totals.update(counts)
             if stop_at_errors is not None and totals["bit_errors"] >= stop_at_errors:
                 break
@@ -221,14 +212,18 @@ _DOMAIN_BEST_K = 103
 def _cell(base_cfg: SkConfig, k: int, rate: float | None, ids: tuple, **fields) -> SkConfig:
     """Sweep cell K at ``rate`` (default: the base config's rate).
 
-    Its seed is derived from the master seed, the sweep's ``ids`` and K;
-    ``fields`` are the other config fields the sweep sets per cell.
+    The rate must lie in (0, 1], the range ``--rate`` accepts, so the
+    cell's n_total = round(K / rate) is at least K.  Its seed is derived
+    from the master seed, the sweep's ``ids`` and K; ``fields`` are the
+    other config fields the sweep sets per cell.
     """
     rate = base_cfg.rate if rate is None else rate
+    if not isinstance(rate, numbers.Real) or isinstance(rate, bool) or not 0 < rate <= 1:
+        raise ValueError(f"rate must be a number in (0, 1], got {rate!r}")
     return replace(
         base_cfg,
         k=k,
-        n_total=max(1, round(k / rate)),
+        n_total=round(k / rate),
         seed=derive_seed(base_cfg.seed, *ids, int(k)),
         **fields,
     )

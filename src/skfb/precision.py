@@ -77,17 +77,12 @@ def quantize(x, mode: PrecisionMode):
     Round-to-nearest-even; overflow of finite inputs saturates to
     ``mode.max_finite`` with the input's sign; underflow goes through
     subnormals to signed zero.  ``inf`` and ``nan`` propagate unchanged.
-    Accepts scalars or arrays and preserves the input shape.
+    Returns a float64 ndarray of the input's shape (0-d for a scalar);
+    at 64 bits a float64 ndarray comes back as the same object.
     """
-    if mode.is_identity:
-        if type(x) is np.ndarray and x.dtype == np.float64:
-            return x
-        if np.isscalar(x) or isinstance(x, float):
-            return float(x)
-        return np.asarray(x, dtype=np.float64)
-
-    scalar = np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0)
     xa = np.asarray(x, dtype=np.float64)
+    if mode.is_identity:
+        return xa
 
     if mode.width == 32:
         # the hardware cast rounds to nearest even through subnormals; it
@@ -98,7 +93,7 @@ def quantize(x, mode: PrecisionMode):
         if over.any():
             over &= np.isfinite(xa)
             q[over] = np.copysign(mode.max_finite, xa[over])
-        return float(q) if scalar else q
+        return q
 
     with np.errstate(invalid="ignore", over="ignore"):
         _, e = np.frexp(xa)  # |x| = m * 2^e with m in [0.5, 1)
@@ -107,9 +102,7 @@ def quantize(x, mode: PrecisionMode):
         ulp_exp = np.maximum(e - 1, mode.min_normal_exp) - mode.mantissa_bits
         q = np.ldexp(np.rint(np.ldexp(xa, -ulp_exp)), ulp_exp)
         over = np.isfinite(xa) & (np.abs(q) > mode.max_finite)
-        q = np.where(over, np.copysign(mode.max_finite, xa), q)
-
-    return float(q) if scalar else q
+        return np.where(over, np.copysign(mode.max_finite, xa), q)
 
 
 def q_add(a, b, mode: PrecisionMode):

@@ -13,7 +13,8 @@ import pytest
 from skfb.cli import build_parser, main
 from skfb.codec import analytic_ber_oracle
 from skfb.core import SkConfig, SkVariant
-from skfb.engine import sweep_feedback_snr
+from skfb.engine import estimate_ber, sweep_feedback_snr
+from skfb.records import write_csv
 
 
 REFERENCE = str(pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -73,7 +74,17 @@ def test_usage_errors_exit_2():
         assert "usage" in proc.stderr.lower()
 
 
-@pytest.mark.parametrize("command", ["sweep-k", "sweep-precision", "best-k", "sweep-feedback"])
+def test_best_k_is_not_a_subcommand(capsys):
+    # the best K at one feedback SNR is sweep-feedback with a one-entry list
+    with pytest.raises(SystemExit) as exc:
+        main(["best-k", "--feedback-snr-db", "23", "--k-max", "4", "--trials", "10"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'best-k'" in captured.err
+
+
+@pytest.mark.parametrize("command", ["sweep-k", "sweep-precision", "sweep-feedback"])
 @pytest.mark.parametrize(
     "k_args, message",
     [
@@ -98,7 +109,6 @@ def test_bad_k_range_is_a_usage_error(command, k_args, message, capsys):
 _SWEEP_EXTRA = {
     "sweep-k": ["--k-min", "2", "--k-max", "3"],
     "sweep-precision": ["--k-min", "2", "--k-max", "3", "--reference", "/nonexistent/ref.csv"],
-    "best-k": ["--k-max", "3"],
     "sweep-feedback": ["--k-max", "3", "--feedback-snr-list", "20"],
 }
 
@@ -264,7 +274,7 @@ def test_replay_row_reproduces_ber(capsys):
 
 def test_best_k_matches_engine(capsys):
     code, out = run_cli(
-        capsys, "best-k", "--feedback-snr-db", "23", "--k-max", "4",
+        capsys, "sweep-feedback", "--feedback-snr-list", "23", "--k-max", "4",
         "--trials", "20000", "--seed", "3",
     )
     assert code == 0
@@ -275,6 +285,17 @@ def test_best_k_matches_engine(capsys):
     engine_rows = sweep_feedback_snr(SkConfig(k=1, seed=3), [23.0], range(1, 5), trials=20_000)
     assert marked == [r.k for r in engine_rows if r.is_best]
     assert [r["ber"] for r in rows] == [repr(r.ber) for r in engine_rows]
+
+
+def test_a_library_row_with_integer_floats_is_the_cli_row(capsys):
+    code, out = run_cli(capsys, "ber", "--k", "2", "--trials", "100")
+    assert code == 0
+    library = write_csv([estimate_ber(SkConfig(k=2, gamma=1, forward_snr_db=0), 100)])
+    rows = [
+        {**row, "wall_time_seconds": None} for row in parse_rows(out) + parse_rows(library)
+    ]
+    assert rows[0] == rows[1]
+    assert (rows[0]["gamma"], rows[0]["forward_snr_db"]) == ("1.0", "0.0")
 
 
 def test_sweep_feedback_rows(capsys):
@@ -393,7 +414,6 @@ _BASE_ARGV = {
     "sweep-k": ["--k-min", "1", "--k-max", "3", "--trials", "200"],
     "sweep-precision": ["--k-min", "1", "--k-max", "3", "--reference", REFERENCE,
                         "--trials", "200"],
-    "best-k": ["--k-max", "3", "--trials", "200"],
     "sweep-feedback": ["--k-max", "3", "--feedback-snr-list", "20", "--trials", "200"],
     "oracle": [],
     "optimize-gamma": ["--gamma-grid", "0.5,1,2"],
@@ -460,7 +480,6 @@ _UNREAD = [  # the tested flag comes second
     ["sweep-precision", "--k", "2", "--k-min", "1", "--reference", REFERENCE, *_SMALL_SWEEP],
     ["sweep-precision", "--precision", "8", "--k-min", "1", "--reference", REFERENCE,
      *_SMALL_SWEEP],
-    ["best-k", "--k", "2", *_SMALL_SWEEP],
     ["sweep-feedback", "--k", "2", "--feedback-snr-list", "20", *_SMALL_SWEEP],
     ["sweep-feedback", "--feedback-snr-db", "20", "--feedback-snr-list", "20", *_SMALL_SWEEP],
     ["oracle", "--precision", "8"],

@@ -159,11 +159,24 @@ def test_config_defaults_and_validation():
         ("precision", dict(precision=16)),
         ("variant", dict(variant="estimate-diff")),
         ("bit_mapping", dict(bit_mapping="gray")),
+        ("gamma", dict(gamma="2")),
+        ("gamma", dict(gamma=True)),
+        ("gamma", dict(gamma=None)),
+        ("forward_snr_db", dict(forward_snr_db="3")),
+        ("forward_snr_db", dict(forward_snr_db=False)),
+        ("feedback_snr_db", dict(feedback_snr_db="inf")),
+        ("feedback_snr_db", dict(feedback_snr_db=1j)),
     ],
 )
 def test_config_refusals_name_the_field(field, overrides):
     with pytest.raises(ValueError, match=field):
         SkConfig(**{"k": 2, **overrides})
+
+
+def test_config_stores_float_fields_as_float():
+    cfg = SkConfig(k=2, gamma=1, forward_snr_db=np.int64(0), feedback_snr_db=np.float32(20.5))
+    assert (cfg.gamma, cfg.forward_snr_db, cfg.feedback_snr_db) == (1.0, 0.0, 20.5)
+    assert all(type(v) is float for v in (cfg.gamma, cfg.forward_snr_db, cfg.feedback_snr_db))
 
 
 def test_config_stores_integer_fields_as_int():

@@ -3,6 +3,7 @@
 import math
 import os
 import threading
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -200,10 +201,12 @@ def test_split_covers_the_range_in_near_equal_ordered_parts(lo, n, parts):
     assert all(prev[1] == nxt[0] for prev, nxt in zip(pieces, pieces[1:]))
     sizes = [b - a for a, b in pieces]
     assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-    # a worker steps its part in chunks no larger than CHUNK_TRIALS
-    for a, b in pieces:
-        chunks = engine._split(a, b, -(-(b - a) // CHUNK_TRIALS))
-        assert max(hi - lo_ for lo_, hi in chunks) <= CHUNK_TRIALS
+    # with ``parts`` workers a block is run as a multiple of ``parts``
+    # chunks, none larger than CHUNK_TRIALS
+    count = parts * -(-n // (parts * CHUNK_TRIALS))
+    chunks = engine._split(lo, lo + n, count)
+    assert len(chunks) == min(n, count)
+    assert max(hi - lo_ for lo_, hi in chunks) <= CHUNK_TRIALS
 
 
 def _recorded_chunks():
@@ -253,13 +256,23 @@ def test_a_cell_has_no_more_parts_than_grid_blocks():
     assert sorted((lo, hi) for lo, hi, _ in calls) == [(0, 44), (44, 87), (87, 130)]
 
 
+@pytest.mark.parametrize("stop_at_errors", [None, 10**9], ids=["whole", "per-block"])
 @pytest.mark.parametrize("cfg", [_HALTING[0], _HALTING[3]], ids=["w8", "n1300"])
-def test_decided_cells_run_on_the_calling_thread(cfg):
-    calls, patch = _recorded_chunks()
-    with patch, mock.patch.object(engine, "CHUNK_TRIALS", 64), _threads(2):
-        estimate_ber(cfg, 300)
-    assert len(calls) == 5
-    assert {tid for _, _, tid in calls} == {threading.get_ident()}
+def test_halting_cells_map_the_chunks_of_a_healthy_cell(cfg, stop_at_errors):
+    chunks = {}
+    for cell in (cfg, _HEALTHY):
+        calls, patch = _recorded_chunks()
+        with patch, mock.patch.object(engine, "CHUNK_TRIALS", 64), _threads(2):
+            estimate_ber(cell, 300, stop_at_errors)
+        chunks[cell] = sorted((lo, hi) for lo, hi, _ in calls)
+    assert chunks[cfg] == chunks[_HEALTHY]
+    ranges = chunks[cfg]
+    assert ranges[0][0] == 0 and ranges[-1][1] == 300
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
+    assert max(hi - lo for lo, hi in ranges) <= 64
+    block = 300 if stop_at_errors is None else 64
+    per_block = Counter(lo // block for lo, _ in ranges)
+    assert all(count % 2 == 0 for count in per_block.values())
 
 
 _TABLE = ReferenceTable(rows={(64, math.inf): 1e-3})
@@ -372,6 +385,14 @@ def test_sweep_cells_stop_at_errors():
     base = SkConfig(k=2, forward_snr_db=-10.0, seed=3)  # high BER
     rows = sweep_block_length(base, [2], trials=3 * CHUNK_TRIALS, stop_at_errors=100)
     assert (rows[0].stop_at_errors, rows[0].trials) == (100, CHUNK_TRIALS)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, 10.0, 1.0 + 1e-9, math.nan, math.inf, "0.5"])
+def test_sweeps_refuse_a_rate_outside_the_unit_interval(rate):
+    calls, patch = _recorded_chunks()
+    with patch, pytest.raises(ValueError, match="rate"):
+        sweep_block_length(SkConfig(), [4], rate=rate, trials=10)
+    assert calls == []
 
 
 def test_sweep_block_length_rejects_empty_range():

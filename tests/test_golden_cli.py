@@ -34,8 +34,8 @@ CALLS = {
         "--precisions", "8,16,64", "--reference", REFERENCE, "--bit-mapping", "gray",
         "--trials", "3000", "--seed", "13",
     ],
-    "best_k": [
-        "best-k", "--feedback-snr-db", "23", "--k-max", "4", "--trials", "4000",
+    "best_k": [  # the best K at one feedback SNR
+        "sweep-feedback", "--feedback-snr-list", "23", "--k-max", "4", "--trials", "4000",
         "--seed", "14",
     ],
     "sweep_feedback": [

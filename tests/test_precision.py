@@ -181,6 +181,14 @@ def test_idempotence_and_sign(mode):
     assert np.all(np.sign(q1[nonzero]) == np.sign(xs[nonzero]))
 
 
+@pytest.mark.parametrize("mode", [MODE8, MODE16, MODE32, MODE64])
+def test_a_scalar_comes_back_as_a_0d_array(mode):
+    for x in (1.25, 1e39, -np.inf):
+        q = quantize(x, mode)
+        assert type(q) is np.ndarray and q.dtype == np.float64 and q.shape == ()
+    assert type(q_add(1.0, 2.0, mode)) is np.ndarray
+
+
 @pytest.mark.parametrize("mode", [MODE8, MODE16, MODE32])
 def test_monotonicity(mode):
     xs = np.sort(RNG.uniform(-mode.max_finite * 1.5, mode.max_finite * 1.5, 5000))

@@ -1,18 +1,29 @@
-"""The README's library example runs as written."""
+"""The README's examples run as written."""
 
 import pathlib
 import re
+import shlex
+
+from skfb.cli import build_parser
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _library_block() -> str:
-    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+def _block(heading: str, lang: str) -> str:
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.DOTALL).group(1)
 
 
 def test_library_example_runs(capsys):
-    exec(compile(_library_block(), str(README), "exec"), {})
+    exec(compile(_block("Library", "python"), str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert lines[2].startswith("variant,k,n_total,")  # after the oracle and the row
     assert len(lines) == 2 + 1 + 21 + 1  # the sweep's header, 21 rows, print's blank line
+
+
+def test_command_line_examples_parse():
+    calls = _block("Command line", "sh").replace("\\\n", " ").splitlines()
+    assert calls and all(call.startswith("skfb ") for call in calls)
+    parser = build_parser()
+    for call in calls:
+        parser.parse_args(shlex.split(call)[1:])  # a usage error exits the test
