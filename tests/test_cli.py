@@ -74,6 +74,16 @@ def test_usage_errors_exit_2():
         assert "usage" in proc.stderr.lower()
 
 
+# the best K at one feedback SNR is sweep-feedback with a one-entry list; the
+# "best-k" cases below run that call, and name its one SNR --feedback-snr-db
+_BEST_K = ["sweep-feedback", "--feedback-snr-list", "23"]
+
+
+def _call(command: str) -> list[str]:
+    """The argv head of a case: the subcommand, or the best-K call."""
+    return list(_BEST_K) if command == "best-k" else [command]
+
+
 def test_best_k_is_not_a_subcommand(capsys):
     # the best K at one feedback SNR is sweep-feedback with a one-entry list
     with pytest.raises(SystemExit) as exc:
@@ -84,7 +94,7 @@ def test_best_k_is_not_a_subcommand(capsys):
     assert "invalid choice: 'best-k'" in captured.err
 
 
-@pytest.mark.parametrize("command", ["sweep-k", "sweep-precision", "sweep-feedback"])
+@pytest.mark.parametrize("command", ["sweep-k", "sweep-precision", "best-k", "sweep-feedback"])
 @pytest.mark.parametrize(
     "k_args, message",
     [
@@ -99,7 +109,7 @@ def test_bad_k_range_is_a_usage_error(command, k_args, message, capsys):
         "sweep-feedback": ["--feedback-snr-list", "20"],
     }.get(command, [])
     with pytest.raises(SystemExit) as exc:
-        main([command, *k_args, *extra, "--trials", "10"])
+        main([*_call(command), *k_args, *extra, "--trials", "10"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -109,6 +119,7 @@ def test_bad_k_range_is_a_usage_error(command, k_args, message, capsys):
 _SWEEP_EXTRA = {
     "sweep-k": ["--k-min", "2", "--k-max", "3"],
     "sweep-precision": ["--k-min", "2", "--k-max", "3", "--reference", "/nonexistent/ref.csv"],
+    "best-k": ["--k-max", "3"],
     "sweep-feedback": ["--k-max", "3", "--feedback-snr-list", "20"],
 }
 
@@ -117,7 +128,7 @@ _SWEEP_EXTRA = {
 def test_sweeps_refuse_n(command, capsys):
     # a sweep sets each cell's N from the rate; --n would be ignored
     with pytest.raises(SystemExit) as exc:
-        main([command, *_SWEEP_EXTRA[command], "--n", "30", "--trials", "10"])
+        main([*_call(command), *_SWEEP_EXTRA[command], "--n", "30", "--trials", "10"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -414,6 +425,7 @@ _BASE_ARGV = {
     "sweep-k": ["--k-min", "1", "--k-max", "3", "--trials", "200"],
     "sweep-precision": ["--k-min", "1", "--k-max", "3", "--reference", REFERENCE,
                         "--trials", "200"],
+    "best-k": ["--k-max", "3", "--trials", "200"],
     "sweep-feedback": ["--k-max", "3", "--feedback-snr-list", "20", "--trials", "200"],
     "oracle": [],
     "optimize-gamma": ["--gamma-grid", "0.5,1,2"],
@@ -445,6 +457,11 @@ _FLAG_CASES = [
     for action in sub._actions
     if action.option_strings and action.option_strings[0] not in ("-h", "--out")
 ]
+_FLAG_CASES += [
+    ("best-k", "--feedback-snr-db" if flag == "--feedback-snr-list" else flag)
+    for command, flag in _FLAG_CASES
+    if command == "sweep-feedback"
+]
 
 
 def _rows_or_none(capsys, argv):
@@ -468,9 +485,11 @@ def test_no_flag_is_silently_ignored(command, flag, capsys, tmp_path):
         value = tmp_path / "ref.csv"
         value.write_text("precision_bits,feedback_snr_db,reference_ber\n8,inf,0.5\n",
                          encoding="utf-8")
-    base = _rows_or_none(capsys, [command, *_BASE_ARGV[command]])
+    if command == "best-k" and flag == "--feedback-snr-db":
+        flag = "--feedback-snr-list"  # the one entry of the best-K call
+    base = _rows_or_none(capsys, [*_call(command), *_BASE_ARGV[command]])
     assert base is not None
-    changed = _rows_or_none(capsys, [command, *_BASE_ARGV[command], flag, str(value)])
+    changed = _rows_or_none(capsys, [*_call(command), *_BASE_ARGV[command], flag, str(value)])
     assert changed != base
 
 
@@ -480,6 +499,7 @@ _UNREAD = [  # the tested flag comes second
     ["sweep-precision", "--k", "2", "--k-min", "1", "--reference", REFERENCE, *_SMALL_SWEEP],
     ["sweep-precision", "--precision", "8", "--k-min", "1", "--reference", REFERENCE,
      *_SMALL_SWEEP],
+    ["best-k", "--k", "2", *_SMALL_SWEEP],
     ["sweep-feedback", "--k", "2", "--feedback-snr-list", "20", *_SMALL_SWEEP],
     ["sweep-feedback", "--feedback-snr-db", "20", "--feedback-snr-list", "20", *_SMALL_SWEEP],
     ["oracle", "--precision", "8"],
@@ -499,7 +519,7 @@ _UNREAD = [  # the tested flag comes second
 @pytest.mark.parametrize("argv", _UNREAD, ids=[" ".join(argv[:2]) for argv in _UNREAD])
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main([*_call(argv[0]), *argv[1:]])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
