@@ -21,7 +21,7 @@ from .core import (  # noqa: F401
     SkVariant,
     pam_step,
 )
-from .precision import PrecisionMode, q_add, q_div, q_mul, q_sqrt, q_sub, quantize  # noqa: F401
+from .precision import PrecisionMode, quantize  # noqa: F401
 from .channel import AwgnChannel, make_channels  # noqa: F401
 from .codec import (  # noqa: F401
     SkState,

@@ -19,7 +19,7 @@ from . import __version__
 from .codec import analytic_ber_oracle, optimize_gamma, schedule
 from .core import BitMapping, SkConfig, SkVariant
 from .engine import estimate_ber, sweep_block_length, sweep_feedback_snr, sweep_precision_grid
-from .precision import PrecisionMode
+from .precision import WIDTHS, PrecisionMode
 from .records import (
     OracleRecord,
     RunRecord,
@@ -61,13 +61,10 @@ def _parse_rate(text: str) -> float:
     return value
 
 
-PRECISIONS = (8, 16, 32, 64)
-
-
 def _parse_precision(text: str) -> int:
     value = int(text)
-    if value not in PRECISIONS:
-        widths = ", ".join(map(str, PRECISIONS))
+    if value not in WIDTHS:
+        widths = ", ".join(map(str, WIDTHS))
         raise argparse.ArgumentTypeError(f"width must be one of {widths}, got {value}")
     return value
 
@@ -133,12 +130,12 @@ _FLAGS = {
         type=_parse_snr_list, required=True, help="comma-separated feedback SNRs in dB"
     ),
     "--precision": dict(
-        type=int, choices=PRECISIONS, default=64,
+        type=int, choices=WIDTHS, default=64,
         help="emulated arithmetic width (default: %(default)s)",
     ),
     "--precisions": dict(
-        type=_parse_precision_list, default=[8, 16, 32, 64],
-        help="comma-separated widths (default: 8,16,32,64)",
+        type=_parse_precision_list, default=list(WIDTHS),
+        help=f"comma-separated widths (default: {','.join(map(str, WIDTHS))})",
     ),
     "--reference": dict(
         required=True, help="CSV with header precision_bits,feedback_snr_db,reference_ber"
@@ -173,16 +170,17 @@ def _config_from_args(args) -> SkConfig:
                        ("bit_mapping", BitMapping)):
         if name in cfg:
             cfg[name] = kind(cfg[name])
-    n_total = args.n if args.n is not None else max(1, round(args.k / args.rate))
+    n_total = args.n if args.n is not None else round(args.k / args.rate)
     return SkConfig(**cfg, n_total=n_total)
 
 
 def _emit(args, records) -> None:
+    text = write_csv(records)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            write_csv(records, fh)
+            fh.write(text)
     else:
-        sys.stdout.write(write_csv(records))
+        sys.stdout.write(text)
     for rec in records:
         if isinstance(rec, RunRecord):
             _note_schedule_failure(rec)

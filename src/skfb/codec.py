@@ -41,7 +41,7 @@ from scipy.special import ndtr
 
 from . import channel as _channel
 from .core import BitMapping, SkConfig, SkVariant, pam_step, value_to_index
-from .precision import q_add, q_div, q_mul, q_sqrt, q_sub, quantize
+from .precision import quantize
 from .records import GammaRecord, config_columns
 
 SIGNAL_POWER = 1.0  # per-symbol power constraint P
@@ -89,29 +89,30 @@ def schedule(cfg: SkConfig) -> Schedule:
     """Precompute alpha/beta/u_var for every step of ``cfg``."""
     mode = cfg.precision
     n = cfg.n_total
-    sigma2 = quantize(_channel.snr_db_to_noise_std(cfg.forward_snr_db) ** 2, mode)
-    p_rest = quantize(residual_power(cfg), mode)
-    sqrt_gamma = q_sqrt(quantize(cfg.gamma, mode), mode)
-
     alpha = np.full(n, np.nan)
     beta = np.full(n, np.nan)
     u_var = np.full(n + 1, np.nan)
 
-    if sigma2 == 0.0:
-        # noiseless forward channel: the estimate is exact after the
-        # first use, so nothing is sent or corrected afterwards
-        alpha[1:] = 0.0
-        beta[1:] = 0.0
-        u_var[1:] = 0.0
-        return Schedule(sqrt_gamma, alpha, beta, u_var, n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sigma2 = quantize(_channel.snr_db_to_noise_std(cfg.forward_snr_db) ** 2, mode)
+        p_rest = quantize(residual_power(cfg), mode)
+        gamma = quantize(cfg.gamma, mode)
+        sqrt_gamma = quantize(np.sqrt(gamma), mode)
+        if sigma2 == 0.0:
+            # noiseless forward channel: the estimate is exact after the
+            # first use, so nothing is sent or corrected afterwards
+            alpha[1:] = 0.0
+            beta[1:] = 0.0
+            u_var[1:] = 0.0
+            return Schedule(sqrt_gamma, alpha, beta, u_var, n)
 
-    denom = q_add(p_rest, sigma2, mode)
-    ratio = q_div(sigma2, denom, mode)
-    u_var[1] = q_div(sigma2, quantize(cfg.gamma, mode), mode)
-    for i in range(1, n):
-        alpha[i] = q_sqrt(q_div(p_rest, u_var[i], mode), mode)
-        beta[i] = q_div(q_mul(alpha[i], u_var[i], mode), denom, mode)
-        u_var[i + 1] = q_mul(u_var[i], ratio, mode)
+        denom = quantize(p_rest + sigma2, mode)
+        ratio = quantize(sigma2 / denom, mode)
+        u_var[1] = quantize(sigma2 / gamma, mode)
+        for i in range(1, n):
+            alpha[i] = quantize(np.sqrt(quantize(p_rest / u_var[i], mode)), mode)
+            beta[i] = quantize(quantize(alpha[i] * u_var[i], mode) / denom, mode)
+            u_var[i + 1] = quantize(u_var[i] * ratio, mode)
     overflowed = np.flatnonzero(~np.isfinite(alpha[1:]))
     halt = int(overflowed[0]) + 1 if overflowed.size else n
     return Schedule(sqrt_gamma, alpha, beta, u_var, halt)
@@ -142,20 +143,22 @@ def sk_init(theta, cfg: SkConfig, channels) -> SkState:
     sched = schedule(cfg)
     forward, feedback = channels
 
-    theta_q = np.atleast_1d(quantize(np.asarray(theta, dtype=np.float64), mode))
-    x0 = q_mul(sched.sqrt_gamma, theta_q, mode)
-    y0 = quantize(forward.transmit(x0, 0), mode)
-    theta_hat_rx = q_div(y0, sched.sqrt_gamma, mode)
-    if feedback.noise is None:
-        # noiseless feedback returns the receiver's own rounded output, so
-        # the transmitter's copy of the estimate is the receiver's
-        y0_fb = feedback.transmit(y0, 0)
-        theta_hat_tx = theta_hat_rx
-    else:
-        y0_fb = quantize(feedback.transmit(y0, 0), mode)
-        theta_hat_tx = q_div(y0_fb, sched.sqrt_gamma, mode)
-    # error-recursion seed U_1 = (Ytilde_0 - X_0) / sqrt(gamma)
-    u = q_div(q_sub(y0_fb, x0, mode), sched.sqrt_gamma, mode)
+    sqrt_gamma = sched.sqrt_gamma
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        theta_q = np.atleast_1d(quantize(theta, mode))
+        x0 = quantize(sqrt_gamma * theta_q, mode)
+        y0 = quantize(forward.transmit(x0, 0), mode)
+        theta_hat_rx = quantize(y0 / sqrt_gamma, mode)
+        if feedback.noise is None:
+            # noiseless feedback returns the receiver's own rounded output, so
+            # the transmitter's copy of the estimate is the receiver's
+            y0_fb = feedback.transmit(y0, 0)
+            theta_hat_tx = theta_hat_rx
+        else:
+            y0_fb = quantize(feedback.transmit(y0, 0), mode)
+            theta_hat_tx = quantize(y0_fb / sqrt_gamma, mode)
+        # error-recursion seed U_1 = (Ytilde_0 - X_0) / sqrt(gamma)
+        u = quantize(quantize(y0_fb - x0, mode) / sqrt_gamma, mode)
 
     failed = ~(
         np.isfinite(theta_hat_rx) & np.isfinite(theta_hat_tx) & np.isfinite(u)
@@ -191,29 +194,29 @@ def sk_step(state: SkState, cfg: SkConfig, channels) -> SkState:
     alpha = float(sched.alpha[n])
     beta = float(sched.beta[n])
 
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if cfg.variant is SkVariant.ESTIMATE_DIFFERENCE:
-            u_n = q_sub(state.theta_hat_tx, state.theta, mode)
+            u_n = quantize(state.theta_hat_tx - state.theta, mode)
         elif n == 1:
             u_n = state.u
         else:
             prev_beta = float(sched.beta[state.step])
-            u_n = q_sub(state.u, q_mul(prev_beta, state.prev_y_fb, mode), mode)
-        x = q_mul(alpha, u_n, mode)
+            u_n = quantize(state.u - quantize(prev_beta * state.prev_y_fb, mode), mode)
+        x = quantize(alpha * u_n, mode)
         failed = ~np.isfinite(x)
         failed |= state.failed
         if failed.any():  # otherwise x already is where(failed, 0, x)
             x = np.where(failed, 0.0, x)
 
         y = quantize(forward.transmit(x, n), mode)
-        theta_hat_rx = q_sub(state.theta_hat_rx, q_mul(beta, y, mode), mode)
+        theta_hat_rx = quantize(state.theta_hat_rx - quantize(beta * y, mode), mode)
         failed |= ~np.isfinite(theta_hat_rx)
         if feedback.noise is None:  # the transmitter's copy is the receiver's
             y_fb = feedback.transmit(y, n)
             theta_hat_tx = theta_hat_rx
         else:
             y_fb = quantize(feedback.transmit(y, n), mode)
-            theta_hat_tx = q_sub(state.theta_hat_tx, q_mul(beta, y_fb, mode), mode)
+            theta_hat_tx = quantize(state.theta_hat_tx - quantize(beta * y_fb, mode), mode)
             failed |= ~np.isfinite(theta_hat_tx)
 
     return replace(
@@ -313,14 +316,12 @@ def optimize_gamma(cfg: SkConfig, grid) -> list[GammaRecord]:
     meaningful even where the BER itself underflows to zero, and ties go
     to the smaller gamma.
     """
-    grid = sorted(set(float(g) for g in grid))
-    if not grid:
+    # SkConfig checks every entry, a repeated one too
+    cells = sorted({replace(cfg, gamma=g) for g in grid}, key=lambda c: c.gamma)
+    if not cells:
         raise ValueError("gamma grid must be non-empty")
-    if any(g <= 0 for g in grid):
-        raise ValueError("gamma grid values must be positive")
     if cfg.feedback_snr_db != math.inf:
         raise ValueError("gamma optimization requires noiseless feedback")
-    cells = [replace(cfg, gamma=g) for g in grid]
     spreads = [terminal_estimate_std(c) for c in cells]
     best = spreads.index(min(spreads))  # the first minimum has the smallest gamma
     return [

@@ -37,14 +37,14 @@ CHUNK_TRIALS = 1 << 15  # fixed so results never depend on worker layout
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-def wilson_interval(errors: int, n: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval; well-defined at zero observed errors."""
     if n <= 0:
         raise ValueError("interval needs at least one observation")
     p = errors / n
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2 * n)) / denom
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n))
+    denom = 1.0 + _Z95 * _Z95 / n
+    center = (p + _Z95 * _Z95 / (2 * n)) / denom
+    half = (_Z95 / denom) * math.sqrt(p * (1.0 - p) / n + _Z95 * _Z95 / (4 * n * n))
     lo = 0.0 if errors == 0 else max(0.0, center - half)
     hi = 1.0 if errors == n else min(1.0, center + half)
     return lo, hi
@@ -281,15 +281,15 @@ def sweep_precision_grid(
     simulated, so an invalid width or K fails the sweep before any work.
     """
     k_values = list(dict.fromkeys(k_range))
-    precisions = list(dict.fromkeys(int(bits) for bits in precisions))
-    if not k_values or not precisions:
+    modes = list(dict.fromkeys(PrecisionMode(bits) for bits in precisions))
+    if not k_values or not modes:
         raise ValueError("precision and K grids must be non-empty")
     cells = [
         (
-            _cell(base_cfg, k, rate, (_DOMAIN_PRECISION, bits), precision=PrecisionMode(bits)),
-            reference.lookup(bits, base_cfg.feedback_snr_db),
+            _cell(base_cfg, k, rate, (_DOMAIN_PRECISION, mode.width), precision=mode),
+            reference.lookup(mode.width, base_cfg.feedback_snr_db),
         )
-        for bits in precisions
+        for mode in modes
         for k in k_values
     ]
     rows = []
@@ -314,7 +314,10 @@ def sweep_feedback_snr(
     position.  Every cell is built before the first is simulated, so an
     invalid SNR or K fails the sweep before any work is done.
     """
-    snrs = list(dict.fromkeys(float(snr) for snr in snr_list))
+    # SkConfig checks every entry, a repeated one too
+    snrs = list(dict.fromkeys(
+        replace(base_cfg, feedback_snr_db=snr).feedback_snr_db for snr in snr_list
+    ))
     candidates = sorted(set(k_candidates))
     if not snrs:
         raise ValueError("snr_list must be non-empty")

@@ -1,23 +1,25 @@
 """Emulated reduced-precision binary floating point.
 
 The SK recursion can be run as if every state update were executed on a
-narrower floating-point unit: each arithmetic result is rounded to the
-nearest value representable in the target format (round-to-nearest-even),
-with gradual underflow through subnormals and saturation to the largest
-finite magnitude on overflow.  True infinities (e.g. from division by
-zero) and NaNs pass through so that numerically failed trials remain
-detectable downstream.
+narrower floating-point unit: each arithmetic result is computed in
+binary64 and rounded once, by ``quantize``, to the nearest value
+representable in the target format (round-to-nearest-even), with gradual
+underflow through subnormals and saturation to the largest finite
+magnitude on overflow.  True infinities (e.g. from division by zero) and
+NaNs pass through so that numerically failed trials remain detectable
+downstream.
 
 Supported widths and their (exponent, mantissa) bit splits:
 
     8-bit  -> (4, 3)    minifloat, largest finite value 240
     16-bit -> (5, 10)   binary16
     32-bit -> (8, 23)   binary32
-    64-bit -> (11, 52)  native double; all operations are the identity
+    64-bit -> (11, 52)  native double; quantize is the identity
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,20 +31,25 @@ _FORMATS = {
     32: (8, 23),
     64: (11, 52),
 }
+WIDTHS = tuple(_FORMATS)  # the supported widths, ascending
 
 
 @dataclass(frozen=True)
 class PrecisionMode:
-    """Arithmetic emulation policy for one bit width."""
+    """Arithmetic emulation policy for one bit width, an integer in
+    ``WIDTHS``; it is stored as ``int``."""
 
     width: int = 64
 
     def __post_init__(self):
-        if self.width not in _FORMATS:
+        width = self.width
+        if not isinstance(width, numbers.Integral) or isinstance(width, bool):
+            raise ValueError(f"width must be an integer, got {width!r}")
+        if width not in _FORMATS:
             raise ValueError(
-                f"unsupported precision width {self.width}; "
-                f"choose one of {sorted(_FORMATS)}"
+                f"unsupported precision width {width}; choose one of {list(WIDTHS)}"
             )
+        object.__setattr__(self, "width", int(width))
 
     @property
     def exponent_bits(self) -> int:
@@ -103,31 +110,3 @@ def quantize(x, mode: PrecisionMode):
         q = np.ldexp(np.rint(np.ldexp(xa, -ulp_exp)), ulp_exp)
         over = np.isfinite(xa) & (np.abs(q) > mode.max_finite)
         return np.where(over, np.copysign(mode.max_finite, xa), q)
-
-
-def q_add(a, b, mode: PrecisionMode):
-    """a + b, rounded to ``mode``."""
-    return quantize(np.add(a, b), mode)
-
-
-def q_sub(a, b, mode: PrecisionMode):
-    """a - b, rounded to ``mode``."""
-    return quantize(np.subtract(a, b), mode)
-
-
-def q_mul(a, b, mode: PrecisionMode):
-    """a * b, rounded to ``mode``."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return quantize(np.multiply(a, b), mode)
-
-
-def q_div(a, b, mode: PrecisionMode):
-    """a / b, rounded to ``mode``; division by zero yields signed inf."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return quantize(np.divide(a, b), mode)
-
-
-def q_sqrt(a, mode: PrecisionMode):
-    """sqrt(a), rounded to ``mode``; negative inputs yield nan."""
-    with np.errstate(invalid="ignore"):
-        return quantize(np.sqrt(a), mode)

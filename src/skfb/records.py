@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 from . import __version__
 from .core import BitMapping, SkConfig, SkVariant
-from .precision import PrecisionMode
+from .precision import WIDTHS, PrecisionMode
 
 
 @dataclass(frozen=True)
@@ -126,12 +126,11 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def write_csv(records, stream=None) -> str:
+def write_csv(records) -> str:
     """Header plus one row per record; returns the CSV text.
 
     All records must be of one dataclass type, which sets the header; an
-    empty list has no header and is refused.  With ``stream`` the text is
-    written there and the empty string is returned.
+    empty list has no header and is refused.
     """
     records = list(records)
     if not records:
@@ -144,12 +143,12 @@ def write_csv(records, stream=None) -> str:
                 f"got {type(rec).__name__}"
             )
     names = [f.name for f in fields(record_type)]
-    out = stream if stream is not None else io.StringIO()
+    out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(names)
     for rec in records:
         writer.writerow([_format_value(getattr(rec, name)) for name in names])
-    return out.getvalue() if stream is None else ""
+    return out.getvalue()
 
 
 @dataclass(frozen=True)
@@ -197,9 +196,10 @@ def read_reference_table(path) -> ReferenceTable:
                 ber = float(row[2])
             except ValueError as exc:
                 raise ReferenceTableError(f"{path}:{lineno}: {exc}") from None
-            if bits not in (8, 16, 32, 64):
+            if bits not in WIDTHS:
                 raise ReferenceTableError(
-                    f"{path}:{lineno}: precision_bits must be 8/16/32/64, got {bits}"
+                    f"{path}:{lineno}: precision_bits must be one of "
+                    f"{', '.join(map(str, WIDTHS))}, got {bits}"
                 )
             if math.isnan(snr):
                 raise ReferenceTableError(f"{path}:{lineno}: feedback_snr_db is nan")

@@ -257,6 +257,27 @@ def test_runtime_error_exits_1(capsys):
     assert "error" in err
 
 
+def test_k_zero_is_refused_with_the_config_message(capsys):
+    code = main(["ber", "--k", "0", "--trials", "10"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "skfb: error: k must be in [1, 64], got 0\n"
+
+
+def test_precision_flags_accept_exactly_the_four_widths():
+    parser = build_parser()
+    sweep = ["sweep-precision", "--k-min", "1", "--k-max", "1", "--reference", REFERENCE]
+    for width in (8, 16, 32, 64):
+        assert parser.parse_args(["ber", "--precision", str(width)]).precision == width
+    assert parser.parse_args([*sweep, "--precisions", "8,16,32,64"]).precisions == [8, 16, 32, 64]
+    assert parser.parse_args(sweep).precisions == [8, 16, 32, 64]
+    for value in ("4", "12", "16.0", "128"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["ber", "--precision", value])
+        with pytest.raises(SystemExit):
+            parser.parse_args([*sweep, "--precisions", f"8,{value}"])
+
+
 def test_replay_row_reproduces_ber(capsys):
     code, out = run_cli(
         capsys, "ber", "--k", "2", "--trials", "30000", "--seed", "11",

@@ -462,6 +462,15 @@ def test_optimize_gamma_rows_are_distinct_ascending_and_ties_go_to_the_smaller_g
         assert row.oracle_ber == analytic_ber_oracle(replace(cfg, gamma=row.gamma))
 
 
+@pytest.mark.parametrize(
+    "grid", [[True], [1.0, "2"], [True, "2"], [1.0, None]],
+    ids=["bool", "str", "bool-and-str", "none"],
+)
+def test_each_gamma_entry_is_checked_as_sk_config_checks_it(grid):
+    with pytest.raises(ValueError, match="gamma"):
+        optimize_gamma(SkConfig(k=2, n_total=6), grid)
+
+
 def test_optimize_gamma_rejects_bad_grids():
     with pytest.raises(ValueError):
         optimize_gamma(SkConfig(k=2, n_total=6), [])

@@ -38,7 +38,7 @@ from skfb.engine import (
     TIE,
     UNAVAILABLE,
 )
-from skfb.precision import PrecisionMode, q_mul
+from skfb.precision import PrecisionMode, quantize
 from skfb.records import BestKRecord, PhaseRecord, ReferenceTable, RunRecord
 
 
@@ -121,7 +121,8 @@ def _hand_loop(cfg, trials):
     power = {}
     for _ in range(cfg.n_total - 1):
         state = sk_step(state, cfg, channels)
-        x = q_mul(float(alpha[state.step]), state.u, cfg.precision)
+        with np.errstate(invalid="ignore", over="ignore"):
+            x = quantize(float(alpha[state.step]) * state.u, cfg.precision)
         x = np.where(state.failed | ~np.isfinite(x), 0.0, x)
         power[state.step] = (float(np.sum(x * x)), float(np.sum(x**4)))
     idx, failed = decode_indices(state, cfg)
@@ -284,15 +285,37 @@ _TABLE = ReferenceTable(rows={(64, math.inf): 1e-3})
         lambda base: sweep_block_length(base, range(63, 66), trials=10),
         lambda base: sweep_precision_grid(base, [64], range(63, 66), _TABLE, trials=10),
         lambda base: sweep_precision_grid(base, [64, 12], [1, 2], _TABLE, trials=10),
+        lambda base: sweep_precision_grid(base, [16.9], [1, 2], _TABLE, trials=10),
+        lambda base: sweep_precision_grid(base, [64, 64.0], [1, 2], _TABLE, trials=10),
         lambda base: sweep_feedback_snr(base, [20.0, math.nan], [1, 2], trials=10),
     ],
-    ids=["sweep-k-65", "precision-k-65", "precision-12", "feedback-nan"],
+    ids=["sweep-k-65", "precision-k-65", "precision-12", "precision-16.9", "precision-64.0",
+         "feedback-nan"],
 )
 def test_an_invalid_last_cell_fails_the_sweep_before_any_simulation(sweep):
     calls, patch = _recorded_chunks()
     with patch, pytest.raises(ValueError):
         sweep(SkConfig(k=1, seed=1))
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "snr_list", [[True], [20.0, "2"], [20.0, None], [1, True]],
+    ids=["bool", "str", "none", "bool-equal-to-an-earlier-entry"],
+)
+def test_each_feedback_snr_entry_is_checked_as_sk_config_checks_it(snr_list):
+    calls, patch = _recorded_chunks()
+    with patch, pytest.raises(ValueError, match="feedback_snr_db"):
+        sweep_feedback_snr(SkConfig(k=1), snr_list, [1], trials=10)
+    assert calls == []
+
+
+def test_real_feedback_snr_entries_keep_their_order_and_seeds():
+    base = SkConfig(k=1, seed=12)
+    assert engine._snr_id(23) == engine._snr_id(23.0)
+    mixed = sweep_feedback_snr(base, [23, np.float64(9), 23.0], [1], trials=500)
+    floats = sweep_feedback_snr(base, [23.0, 9.0], [1], trials=500)
+    assert _without_wall_time(mixed) == _without_wall_time(floats)
 
 
 def test_repeated_feedback_snrs_are_dropped():

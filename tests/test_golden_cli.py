@@ -3,8 +3,9 @@
 Each call below has its stdout stored under ``tests/golden/<name>.csv``.
 The output must match byte for byte, except the ``wall_time_seconds``
 column, which is the only column that varies between runs.  The
-fixtures were recorded with ``PYTHONPATH=src python tests/test_golden_cli.py``;
-re-record them only with a declared numerics change.
+fixtures are recorded with ``PYTHONPATH=src python tests/test_golden_cli.py
+[NAME ...]``, which writes the named fixtures, or with no names only the
+missing ones; re-record an existing one only with a declared numerics change.
 """
 
 import csv
@@ -42,6 +43,20 @@ CALLS = {
         "sweep-feedback", "--feedback-snr-list", "20,inf", "--k-min", "1", "--k-max", "3",
         "--precision", "32", "--trials", "3000", "--seed", "15",
     ],
+    "sweep_precision_error_recursion": [  # noisy feedback at 8, 16 and 32 bits
+        "sweep-precision", "--variant", "error-recursion", "--feedback-snr-db", "25",
+        "--precisions", "8,16,32", "--k-min", "1", "--k-max", "5", "--k-step", "2",
+        "--rate", "0.5", "--reference", REFERENCE, "--trials", "2000", "--seed", "16",
+    ],
+    "sweep_feedback_16bit": [
+        "sweep-feedback", "--feedback-snr-list", "15,inf", "--k-min", "1", "--k-max", "3",
+        "--snr-db", "-3", "--precision", "16", "--trials", "2000", "--seed", "17",
+    ],
+    "sweep_feedback_8bit_error_recursion": [
+        "sweep-feedback", "--feedback-snr-list", "20,inf", "--k-min", "1", "--k-max", "3",
+        "--variant", "error-recursion", "--snr-db", "-3", "--precision", "8",
+        "--trials", "2000", "--seed", "18",
+    ],
     "oracle": ["oracle", "--k", "3", "--n", "9", "--snr-db", "1.5", "--bit-mapping", "gray"],
     "optimize_gamma": [
         "optimize-gamma", "--k", "10", "--n", "30", "--gamma-grid", "0.5,1,1.5,2,2.5",
@@ -68,8 +83,13 @@ def test_cli_output_matches_golden(name, capsys):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or [n for n in CALLS if not (GOLDEN / f"{n}.csv").exists()]
+    unknown = sorted(set(names) - set(CALLS))
+    if unknown:
+        sys.exit(f"unknown fixture name(s): {', '.join(unknown)}; choose from {', '.join(CALLS)}")
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CALLS.items():
+    for name in names:
+        argv = CALLS[name]
         buf = io.StringIO()
         sys.stdout, saved = buf, sys.stdout
         try:

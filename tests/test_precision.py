@@ -1,11 +1,11 @@
-"""Quantizer and quantized-op tests against bit-level references."""
+"""Quantizer tests against bit-level references."""
 
 import math
 
 import numpy as np
 import pytest
 
-from skfb.precision import PrecisionMode, q_add, q_div, q_mul, q_sqrt, q_sub, quantize
+from skfb.precision import WIDTHS, PrecisionMode, quantize
 
 RNG = np.random.default_rng(20240817)
 
@@ -50,8 +50,23 @@ def test_format_table():
 
 
 def test_rejects_unknown_width():
-    with pytest.raises(ValueError):
+    assert WIDTHS == (8, 16, 32, 64)
+    with pytest.raises(ValueError, match="width"):
         PrecisionMode(12)
+
+
+@pytest.mark.parametrize(
+    "width", [16.0, True, 16.9, np.float64(16), "16", None],
+    ids=["float", "bool", "fraction", "numpy-float", "str", "none"],
+)
+def test_rejects_a_width_that_is_not_an_integer(width):
+    with pytest.raises(ValueError, match="width"):
+        PrecisionMode(width)
+
+
+def test_an_integer_width_is_stored_as_int():
+    mode = PrecisionMode(np.int64(16))
+    assert type(mode.width) is int and mode == MODE16
 
 
 def test_identity_mode_is_exact():
@@ -101,9 +116,10 @@ def test_infinities_and_nan_propagate():
     assert quantize(np.inf, MODE8) == np.inf
     assert quantize(-np.inf, MODE16) == -np.inf
     assert math.isnan(quantize(np.nan, MODE8))
-    assert math.isnan(q_div(0.0, 0.0, MODE16))
-    assert q_div(1.0, 0.0, MODE8) == np.inf
-    assert q_div(-1.0, 0.0, MODE8) == -np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert math.isnan(quantize(np.float64(0.0) / 0.0, MODE16))
+        assert quantize(np.float64(1.0) / 0.0, MODE8) == np.inf
+        assert quantize(np.float64(-1.0) / 0.0, MODE8) == -np.inf
 
 
 def test_half_precision_against_float16_cast():
@@ -167,8 +183,8 @@ def test_single_precision_cast_matches_frexp_rounding_bit_for_bit():
 
 def test_spec_value_examples():
     assert quantize(1.0 + 2.0**-12, MODE16) == 1.0
-    assert q_add(1.0, 2.0**-11, MODE16) == 1.0
-    assert q_add(1.0, 2.0**-10, MODE16) == 1.0009765625
+    assert quantize(1.0 + 2.0**-11, MODE16) == 1.0
+    assert quantize(1.0 + 2.0**-10, MODE16) == 1.0009765625
 
 
 @pytest.mark.parametrize("mode", [MODE8, MODE16, MODE32, MODE64])
@@ -186,7 +202,7 @@ def test_a_scalar_comes_back_as_a_0d_array(mode):
     for x in (1.25, 1e39, -np.inf):
         q = quantize(x, mode)
         assert type(q) is np.ndarray and q.dtype == np.float64 and q.shape == ()
-    assert type(q_add(1.0, 2.0, mode)) is np.ndarray
+    assert type(quantize(np.float64(1.0) + 2.0, mode)) is np.ndarray
 
 
 @pytest.mark.parametrize("mode", [MODE8, MODE16, MODE32])
@@ -210,22 +226,8 @@ def test_half_ulp_error_bound(mode):
 def test_commutativity(mode):
     a = quantize(RNG.standard_normal(1000), mode)
     b = quantize(RNG.standard_normal(1000), mode)
-    assert np.array_equal(q_add(a, b, mode), q_add(b, a, mode))
-    assert np.array_equal(q_mul(a, b, mode), q_mul(b, a, mode))
-
-
-def test_q_add_zero_is_quantize():
-    xs = RNG.uniform(-200, 200, 500)
-    for mode in (MODE8, MODE16, MODE32, MODE64):
-        assert np.array_equal(q_add(xs, 0.0, mode), quantize(xs, mode))
-
-
-def test_q_ops_at_64_bit_match_native():
-    a = RNG.standard_normal(1000)
-    b = RNG.standard_normal(1000)
-    assert np.array_equal(q_mul(a, b, MODE64), a * b)
-    assert np.array_equal(q_sub(a, b, MODE64), a - b)
-    assert np.array_equal(q_sqrt(np.abs(a), MODE64), np.sqrt(np.abs(a)))
+    assert np.array_equal(quantize(a + b, mode), quantize(b + a, mode))
+    assert np.array_equal(quantize(a * b, mode), quantize(b * a, mode))
 
 
 def test_exact_halving_survives_subnormals():
@@ -233,7 +235,7 @@ def test_exact_halving_survives_subnormals():
     x = 1.0
     seen_subnormal = False
     for _ in range(40):
-        x = q_mul(x, 0.5, MODE8)
+        x = quantize(x * 0.5, MODE8)
         if 0 < x < 2.0**-6:
             seen_subnormal = True
     assert seen_subnormal
