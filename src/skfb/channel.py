@@ -11,6 +11,7 @@ use reads one contiguous column.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,20 +57,25 @@ def _stride(n_steps: int) -> int:
 
 
 def standard_normals(
-    master_seed: int, role: int, trial_lo: int, trial_hi: int, n_steps: int
+    master_seed: int, role: int, trial_lo: int, trial_hi: int, n_steps: int, out=None
 ) -> np.ndarray:
     """(trials, n_steps) standard normals for trials [trial_lo, trial_hi).
 
     Row i holds the variates of absolute trial index trial_lo + i; entry
     (i, n) does not depend on the requested range boundaries.  The block
-    is stored step-major (the transpose of a (n_steps, trials) array), so
-    column n, the noise of channel use n, is contiguous.
+    is stored step-major: it is the transpose of ``out``, a
+    (n_steps, trials) array that is allocated unless given (a column slice
+    of a larger block will do), so column n, the noise of channel use n,
+    is contiguous.
     """
     n_trials = trial_hi - trial_lo
+    if out is None:
+        out = np.empty((n_steps, n_trials))
+    elif out.shape != (n_steps, n_trials):
+        raise ValueError(f"out must have shape {(n_steps, n_trials)}, got {out.shape}")
     stride = _stride(n_steps)
     words = raw_stream(master_seed, role, trial_lo * stride, n_trials * stride)
     words = words.reshape(n_trials, stride)
-    out = np.empty((n_steps, n_trials))
     tile = max(1, _TILE_WORDS // stride)
     for lo in range(0, n_trials, tile):
         hi = min(lo + tile, n_trials)
@@ -112,7 +118,7 @@ class AwgnChannel:
     def transmit(self, x, step: int):
         """y = x + z, with z the channel's noise at channel use ``step``."""
         xa = np.asarray(x, dtype=np.float64)
-        if not np.all(np.isfinite(xa)):
+        if not np.isfinite(xa).all():
             raise ValueError("channel input must be finite")
         if self.noise is None:
             return xa
@@ -121,13 +127,36 @@ class AwgnChannel:
         return y
 
 
-def make_channels(cfg, trial_lo: int, trial_hi: int) -> tuple[AwgnChannel, AwgnChannel]:
+# trials per noise part, the unit the engine spreads over its workers:
+# smaller parts balance long blocks better, but each part has a fixed
+# cost that short blocks (n_total of a few steps) feel
+NOISE_PART_TRIALS = 4096
+
+
+def make_channels(cfg, trial_lo: int, trial_hi: int, parts=None) -> tuple[AwgnChannel, AwgnChannel]:
     """Forward and feedback channels for trials [trial_lo, trial_hi) of ``cfg``;
-    a noiseless one (SNR = +inf) derives no noise."""
+    a noiseless one (SNR = +inf) derives no noise.
+
+    A noisy channel's block is filled by parts: calls that each derive the
+    noise of at most ``NOISE_PART_TRIALS`` trials into their own columns.
+    They run here, unless a list ``parts`` is given: then they are appended
+    to it, and the channels are ready once every part has run, in any
+    order and on any thread.
+    """
+    pending = [] if parts is None else parts
 
     def build(snr_db: float, role: int) -> AwgnChannel:
         if snr_db == np.inf:
             return AwgnChannel(snr_db)
-        return AwgnChannel(snr_db, standard_normals(cfg.seed, role, trial_lo, trial_hi, cfg.n_total))
+        block = np.empty((cfg.n_total, trial_hi - trial_lo))
+        for lo in range(trial_lo, trial_hi, NOISE_PART_TRIALS):
+            hi = min(lo + NOISE_PART_TRIALS, trial_hi)
+            out = block[:, lo - trial_lo:hi - trial_lo]
+            pending.append(functools.partial(standard_normals, cfg.seed, role, lo, hi, cfg.n_total, out))
+        return AwgnChannel(snr_db, block.T)
 
-    return build(cfg.forward_snr_db, ROLE_FORWARD), build(cfg.feedback_snr_db, ROLE_FEEDBACK)
+    channels = build(cfg.forward_snr_db, ROLE_FORWARD), build(cfg.feedback_snr_db, ROLE_FEEDBACK)
+    if parts is None:
+        for part in pending:
+            part()
+    return channels

@@ -33,36 +33,46 @@ DEFAULT_RATE = 1.0 / 3.0
 DEFAULT_TRIALS = 100_000
 
 
+def _read(kind, text: str):
+    """``kind(text)``; text it cannot read is a usage error naming it (not
+    the type function, as argparse would)."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+
+
 def _parse_snr(text: str) -> float:
-    value = float(text)
+    value = _read(float, text)
     if math.isnan(value) or value == -math.inf:
         raise argparse.ArgumentTypeError(f"SNR must be a number or +inf, got {text!r}")
     return value
 
 
 def _parse_u64(text: str) -> int:
-    value = int(text)
+    value = _read(int, text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit an unsigned 64-bit integer")
     return value
 
 
 def _parse_count(text: str) -> int:
-    value = int(text)
+    value = _read(int, text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _parse_rate(text: str) -> float:
-    value = float(text)
+    value = _read(float, text)
     if not 0 < value <= 1:
         raise argparse.ArgumentTypeError(f"rate must be in (0, 1], got {text!r}")
     return value
 
 
 def _parse_precision(text: str) -> int:
-    value = int(text)
+    value = _read(int, text)
     if value not in WIDTHS:
         widths = ", ".join(map(str, WIDTHS))
         raise argparse.ArgumentTypeError(f"width must be one of {widths}, got {value}")
@@ -74,7 +84,7 @@ def _entries(text: str) -> list[str]:
 
 
 def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in _entries(text)]
+    return [_read(float, part) for part in _entries(text)]
 
 
 # each entry is checked as its single-value flag checks it

@@ -205,8 +205,8 @@ def sk_step(state: SkState, cfg: SkConfig, channels) -> SkState:
         x = quantize(alpha * u_n, mode)
         failed = ~np.isfinite(x)
         failed |= state.failed
-        if failed.any():  # otherwise x already is where(failed, 0, x)
-            x = np.where(failed, 0.0, x)
+        if failed.any():
+            x[failed] = 0.0  # x is this step's own array
 
         y = quantize(forward.transmit(x, n), mode)
         theta_hat_rx = quantize(state.theta_hat_rx - quantize(beta * y, mode), mode)
@@ -219,8 +219,8 @@ def sk_step(state: SkState, cfg: SkConfig, channels) -> SkState:
             theta_hat_tx = quantize(state.theta_hat_tx - quantize(beta * y_fb, mode), mode)
             failed |= ~np.isfinite(theta_hat_tx)
 
-    return replace(
-        state,
+    return SkState(
+        theta=state.theta,
         u=u_n,
         theta_hat_rx=theta_hat_rx,
         theta_hat_tx=theta_hat_tx,

@@ -2,12 +2,14 @@
 
 Trials are embarrassingly parallel: noise and messages for trial ``i``
 are pure functions of (config seed, i), so any partition of the trials
-gives the same integer counts.  The engine splits a cell's trials into
-near-equal contiguous chunks of at most ``CHUNK_TRIALS``, a multiple of
-the worker count of them, runs them on a thread pool, and merges the
-counts in chunk order.  Results are bit-identical for any worker count;
-the ``SKFB_THREADS`` environment variable caps the pool size, for the
-library as for the command-line tool.
+gives the same integer counts.  The engine runs a cell's trials as
+contiguous blocks of at most ``CHUNK_TRIALS`` and merges the counts in
+block order.  A block's recursion is many short numpy calls that hold
+the GIL, so it runs once, on the calling thread; its noise, which
+releases the GIL, is derived in parts on every worker (see
+:func:`_map_chunks`).  Results are bit-identical for any worker count;
+the ``SKFB_THREADS`` environment variable caps the worker count, the
+calling thread included, for the library as for the command-line tool.
 
 ``estimate_ber`` runs one cell and returns the timed CSV row the
 command-line tool prints.  Each of the three sweeps is the one
@@ -21,7 +23,7 @@ import numbers
 import os
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -64,20 +66,26 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunk(cfg: SkConfig, lo: int, hi: int) -> dict:
+def _halts(cfg: SkConfig) -> bool:
+    """Whether ``cfg``'s schedule halts before the last channel use."""
+    return _codec.schedule(cfg).halt < cfg.n_total
+
+
+def _run_chunk(cfg: SkConfig, lo: int, hi: int, channels) -> dict:
     """Simulate trials [lo, hi); returns their integer counts.
 
-    A cell whose schedule halts before the last use is decided from its
-    message labels alone: every trial fails and decodes to position 0,
-    so no noise is derived and no step is run.
+    ``channels()`` returns the block's channel pair once its noise is
+    derived.  A cell whose schedule halts before the last use is decided
+    from its message labels alone: every trial fails and decodes to
+    position 0, so no step is run and ``channels`` (None) is not called.
     """
     labels = _channel.message_indices(cfg.seed, lo, hi, cfg.k)
-    if _codec.schedule(cfg).halt < cfg.n_total:
+    if _halts(cfg):
         idx = np.zeros(hi - lo, dtype=np.uint64)
         failed = np.ones(hi - lo, dtype=bool)
     else:
         theta = index_to_value(index_of_label(labels, cfg.k, cfg.bit_mapping), cfg.k)
-        idx, failed = _codec.run_block(cfg, theta, _channel.make_channels(cfg, lo, hi))
+        idx, failed = _codec.run_block(cfg, theta, channels())
     decoded_labels = label_of_index(idx, cfg.k, cfg.bit_mapping)
     errors = popcount_u64(labels ^ decoded_labels)
     return {
@@ -99,27 +107,63 @@ def _split(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
 
-def _map_chunks(cfg: SkConfig, trials: int, stop_at_errors=None) -> Counter:
-    """Counts of trials [0, trials), merged in chunk order.
+def _start_noise(submit, cfg: SkConfig, lo: int, hi: int):
+    """Submit the noise parts of trials [lo, hi); returns a call that
+    finishes them on this thread and returns the channel pair.
 
-    Without ``stop_at_errors`` the whole range is one block.  With it,
-    the fixed ``CHUNK_TRIALS`` grid blocks run one at a time, in order,
-    and the stop is decided on the cumulative counts at each block
-    boundary, so the cut point does not depend on the worker count and no
-    simulated trial is discarded.  Each block is split into near-equal
-    chunks of at most ``CHUNK_TRIALS`` trials, a multiple of the worker
-    count of them, which the pool runs in order.
+    The call runs the parts no pool thread has started, newest first, then
+    waits for the rest, so no more threads derive at once than there are
+    workers.
     """
-    grid = _chunk_ranges(trials)
-    workers = min(default_workers(), len(grid))
-    blocks = [(0, trials)] if stop_at_errors is None else grid
+    parts = []
+    channels = _channel.make_channels(cfg, lo, hi, parts)
+    futures = [submit(part) for part in parts]
+
+    def finish():
+        for future, part in zip(futures[::-1], parts[::-1]):
+            if future.cancel():  # no pool thread has started it
+                part()
+        for future in futures:
+            if not future.cancelled():
+                future.result()  # waits, and raises what the part raised
+        return channels
+
+    return finish
+
+
+def _map_chunks(cfg: SkConfig, trials: int, stop_at_errors=None) -> Counter:
+    """Counts of trials [0, trials), merged in block order.
+
+    Without ``stop_at_errors`` the blocks are the fewest near-equal ones
+    of at most ``CHUNK_TRIALS`` trials, and the next block's noise parts
+    are submitted before a block's recursion starts.  With it they are
+    the fixed ``CHUNK_TRIALS`` grid, one at a time, and the stop is
+    decided on the cumulative counts at each block boundary, so the cut
+    point does not depend on the worker count and no simulated trial is
+    discarded.  A block's recursion runs on this thread; its noise parts
+    run on ``workers - 1`` pool threads and on this one.
+    """
+    if stop_at_errors is None:
+        blocks = _split(0, trials, -(-trials // CHUNK_TRIALS))
+    else:
+        blocks = _chunk_ranges(trials)
+    workers = default_workers()
+    halts = _halts(cfg)
     totals = Counter()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        run = map if workers == 1 else pool.map  # a 1-worker pool starts no thread
-        for lo, hi in blocks:
-            chunks = _split(lo, hi, workers * -(-(hi - lo) // (workers * CHUNK_TRIALS)))
-            for counts in run(lambda chunk: _run_chunk(cfg, *chunk), chunks):
-                totals.update(counts)
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        # at one worker a part's future never reaches the pool, so this
+        # thread runs every part and no thread starts
+        submit = pool.submit if workers > 1 else lambda part: Future()
+
+        def noise(lo, hi):
+            return None if halts else _start_noise(submit, cfg, lo, hi)
+
+        ahead = None
+        for i, (lo, hi) in enumerate(blocks):
+            channels = ahead or noise(lo, hi)
+            lookahead = stop_at_errors is None and i + 1 < len(blocks)
+            ahead = noise(*blocks[i + 1]) if lookahead else None
+            totals.update(_run_chunk(cfg, lo, hi, channels))
             if stop_at_errors is not None and totals["bit_errors"] >= stop_at_errors:
                 break
     return totals
@@ -136,7 +180,7 @@ def estimate_ber(cfg: SkConfig, trials: int, stop_at_errors: int | None = None) 
     Per-trial randomness is derived from (cfg.seed, trial index), so every
     column but ``wall_time_seconds`` is a pure function of (cfg, trials,
     stop_at_errors).  With ``stop_at_errors`` set, simulation ends at the
-    first chunk boundary where at least that many bit errors have
+    first block boundary where at least that many bit errors have
     accumulated; the row's ``trials`` is what was actually run.
     """
     _check_count("trials", trials)

@@ -97,16 +97,26 @@ def quantize(x, mode: PrecisionMode):
         with np.errstate(invalid="ignore", over="ignore"):
             q = xa.astype(np.float32).astype(np.float64)
         over = np.isinf(q)
-        if over.any():
-            over &= np.isfinite(xa)
-            q[over] = np.copysign(mode.max_finite, xa[over])
-        return q
-
-    with np.errstate(invalid="ignore", over="ignore"):
-        _, e = np.frexp(xa)  # |x| = m * 2^e with m in [0.5, 1)
-        # exponent of the ulp: normals scale with the value, subnormals
-        # share the fixed grid of the smallest normal binade
-        ulp_exp = np.maximum(e - 1, mode.min_normal_exp) - mode.mantissa_bits
-        q = np.ldexp(np.rint(np.ldexp(xa, -ulp_exp)), ulp_exp)
-        over = np.isfinite(xa) & (np.abs(q) > mode.max_finite)
-        return np.where(over, np.copysign(mode.max_finite, xa), q)
+    else:
+        # round inside frexp's two output buffers (given, so a 0-d input
+        # gets arrays too): |x| = q * 2^e with q in [0.5, 1)
+        q = np.empty_like(xa)
+        e = np.empty(xa.shape, dtype=np.intc)
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.frexp(xa, q, e)
+            # exponent of the ulp: normals scale with the value, subnormals
+            # share the fixed grid of the smallest normal binade
+            e -= 1
+            np.maximum(e, mode.min_normal_exp, out=e)
+            e -= mode.mantissa_bits
+            np.negative(e, out=e)
+            np.ldexp(xa, e, out=q)
+            np.rint(q, out=q)
+            np.negative(e, out=e)
+            np.ldexp(q, e, out=q)  # a finite input near DBL_MAX rounds to inf
+        over = np.abs(q) > mode.max_finite
+    # only the input tells finite overflow, which saturates, from infinity
+    if over.any():
+        over &= np.isfinite(xa)
+        np.copysign(mode.max_finite, xa, out=q, where=over)
+    return q

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from skfb import channel
 from skfb.channel import (
     ROLE_FEEDBACK,
     ROLE_FORWARD,
@@ -35,6 +36,33 @@ def test_make_channels_derives_each_roles_noise():
     assert np.array_equal(feedback.noise, standard_normals(SEED, ROLE_FEEDBACK, 10, 40, 5))
     forward, feedback = make_channels(replace(cfg, feedback_snr_db=math.inf), 10, 40)
     assert forward.noise is not None and feedback.noise is None
+
+
+@pytest.mark.parametrize("n_steps", [1, 5, 150])
+def test_noise_parts_written_into_a_view_equal_the_whole_block(n_steps):
+    cfg = SkConfig(k=1, n_total=n_steps, forward_snr_db=3.0, feedback_snr_db=20.0, seed=SEED)
+    lo, hi = 37, 37 + 2 * channel.NOISE_PART_TRIALS + 11  # a ragged last part
+    parts = []
+    forward, feedback = make_channels(cfg, lo, hi, parts)
+    assert len(parts) == 2 * 3
+    for part in parts[::-1]:  # in any order
+        part()
+    for ch, role in ((forward, ROLE_FORWARD), (feedback, ROLE_FEEDBACK)):
+        whole = standard_normals(SEED, role, lo, hi, n_steps)
+        assert np.array_equal(ch.noise.view(np.uint64), whole.view(np.uint64))
+        assert ch.noise.T.flags.c_contiguous  # step-major
+    # one part into a column slice of a larger block
+    block = np.full((n_steps, 100), np.nan)
+    got = standard_normals(SEED, ROLE_FORWARD, 50, 80, n_steps, block[:, 20:50])
+    want = standard_normals(SEED, ROLE_FORWARD, 50, 80, n_steps)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(block[:, 20:50], want.T)
+    assert np.isnan(block[:, :20]).all() and np.isnan(block[:, 50:]).all()
+
+
+def test_noise_out_of_the_wrong_shape_is_refused():
+    with pytest.raises(ValueError, match="shape"):
+        standard_normals(SEED, ROLE_FORWARD, 0, 10, 3, np.empty((3, 9)))
 
 
 def test_noiseless_passthrough():

@@ -278,6 +278,25 @@ def test_precision_flags_accept_exactly_the_four_widths():
             parser.parse_args([*sweep, "--precisions", f"8,{value}"])
 
 
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (["sweep-precision", "--k-min", "1", "--k-max", "1", "--reference", REFERENCE,
+          "--precisions", "8,16.0"], "'16.0'"),
+        (["sweep-feedback", "--k-max", "1", "--feedback-snr-list", "20,abc"], "'abc'"),
+        (["optimize-gamma", "--k", "2", "--gamma-grid", "1,2x"], "'2x'"),
+    ],
+    ids=["precisions", "feedback-snr-list", "gamma-grid"],
+)
+def test_a_bad_list_entry_is_named_in_the_usage_error(argv, entry, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert entry in err and argv[-2] in err
+    assert "_parse_" not in err
+
+
 def test_replay_row_reproduces_ber(capsys):
     code, out = run_cli(
         capsys, "ber", "--k", "2", "--trials", "30000", "--seed", "11",

@@ -2,7 +2,9 @@
 
 import math
 import os
+import sys
 import threading
+import time
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -162,9 +164,14 @@ _HEALTHY = SkConfig(k=8, n_total=24, precision=PrecisionMode(16), seed=1)
 def test_only_cells_that_reach_the_last_use_derive_noise(cfg):
     # a halting cell is decided by its labels; a healthy one needs its noise
     halts = schedule(cfg).halt < cfg.n_total
-    with mock.patch.object(channel, "make_channels", wraps=channel.make_channels) as spy:
+    noisy_roles = (cfg.forward_snr_db != math.inf) + (cfg.feedback_snr_db != math.inf)
+    with mock.patch.object(
+        channel, "standard_normals", wraps=channel.standard_normals
+    ) as spy, mock.patch.object(engine, "CHUNK_TRIALS", 128), _threads(2):
         estimate_ber(cfg, 300)
-    assert spy.call_count == (0 if halts else 1)
+        estimate_ber(cfg, 300, stop_at_errors=10**9)
+    variates = sum(c.args[4] * (c.args[3] - c.args[2]) for c in spy.call_args_list)
+    assert variates == (0 if halts else 2 * noisy_roles * 300 * cfg.n_total)
 
 
 @pytest.mark.parametrize("cfg", _HALTING[:3], ids=lambda c: f"w{c.precision.width}-n{c.n_total}")
@@ -202,22 +209,21 @@ def test_split_covers_the_range_in_near_equal_ordered_parts(lo, n, parts):
     assert all(prev[1] == nxt[0] for prev, nxt in zip(pieces, pieces[1:]))
     sizes = [b - a for a, b in pieces]
     assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-    # with ``parts`` workers a block is run as a multiple of ``parts``
-    # chunks, none larger than CHUNK_TRIALS
-    count = parts * -(-n // (parts * CHUNK_TRIALS))
-    chunks = engine._split(lo, lo + n, count)
-    assert len(chunks) == min(n, count)
-    assert max(hi - lo_ for lo_, hi in chunks) <= CHUNK_TRIALS
+    # without a stop a cell runs as the fewest blocks of at most CHUNK_TRIALS
+    count = -(-n // CHUNK_TRIALS)
+    blocks = engine._split(lo, lo + n, count)
+    assert len(blocks) == count
+    assert max(hi - lo_ for lo_, hi in blocks) <= CHUNK_TRIALS
 
 
 def _recorded_chunks():
     """Patch ``_run_chunk`` to record (lo, hi, thread id) of every call."""
     calls, lock, run_chunk = [], threading.Lock(), engine._run_chunk
 
-    def record(cfg, lo, hi):
+    def record(cfg, lo, hi, channels):
         with lock:
             calls.append((lo, hi, threading.get_ident()))
-        return run_chunk(cfg, lo, hi)
+        return run_chunk(cfg, lo, hi, channels)
 
     return calls, mock.patch.object(engine, "_run_chunk", record)
 
@@ -260,20 +266,56 @@ def test_a_cell_has_no_more_parts_than_grid_blocks():
 @pytest.mark.parametrize("stop_at_errors", [None, 10**9], ids=["whole", "per-block"])
 @pytest.mark.parametrize("cfg", [_HALTING[0], _HALTING[3]], ids=["w8", "n1300"])
 def test_halting_cells_map_the_chunks_of_a_healthy_cell(cfg, stop_at_errors):
-    chunks = {}
+    # each block is one recursion, on the calling thread, for any worker count
+    if stop_at_errors is None:  # the fewest near-equal blocks
+        blocks = [(0, 60), (60, 120), (120, 180), (180, 240), (240, 300)]
+    else:  # the grid
+        blocks = [(0, 64), (64, 128), (128, 192), (192, 256), (256, 300)]
     for cell in (cfg, _HEALTHY):
-        calls, patch = _recorded_chunks()
-        with patch, mock.patch.object(engine, "CHUNK_TRIALS", 64), _threads(2):
-            estimate_ber(cell, 300, stop_at_errors)
-        chunks[cell] = sorted((lo, hi) for lo, hi, _ in calls)
-    assert chunks[cfg] == chunks[_HEALTHY]
-    ranges = chunks[cfg]
-    assert ranges[0][0] == 0 and ranges[-1][1] == 300
-    assert all(prev[1] == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
-    assert max(hi - lo for lo, hi in ranges) <= 64
-    block = 300 if stop_at_errors is None else 64
-    per_block = Counter(lo // block for lo, _ in ranges)
-    assert all(count % 2 == 0 for count in per_block.values())
+        for workers in (1, 2, 3):
+            calls, patch = _recorded_chunks()
+            with patch, mock.patch.object(engine, "CHUNK_TRIALS", 64), _threads(workers):
+                estimate_ber(cell, 300, stop_at_errors)
+            assert [(lo, hi) for lo, hi, _ in calls] == blocks
+            assert {thread for _, _, thread in calls} == {threading.get_ident()}
+
+
+def test_no_more_threads_than_workers_derive_noise_or_simulate_at_once():
+    depth, peak, lock = Counter(), [0], threading.Lock()
+
+    def counted(fn, pause):
+        def run(*args):
+            me = threading.get_ident()
+            with lock:
+                depth[me] += 1
+                peak[0] = max(peak[0], sum(1 for d in depth.values() if d))
+            try:
+                time.sleep(pause)  # let the other threads catch up
+                return fn(*args)
+            finally:
+                with lock:
+                    depth[me] -= 1
+        return run
+
+    cfg = replace(_STOPPING, feedback_snr_db=10.0)  # two noisy roles
+    rows = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # threads interleave often
+    try:
+        for workers in (1, 2, 5):  # more workers than cores, too
+            peak[0] = 0
+            with mock.patch.object(engine, "CHUNK_TRIALS", 256), \
+                    mock.patch.object(channel, "NOISE_PART_TRIALS", 32), \
+                    mock.patch.object(channel, "standard_normals",
+                                      counted(channel.standard_normals, 0.002)), \
+                    mock.patch.object(engine, "_run_chunk", counted(engine._run_chunk, 0.0)), \
+                    _threads(workers):
+                rows[workers] = _without_wall_time([estimate_ber(cfg, 1000)])
+            assert (peak[0] == 1) if workers == 1 else (1 < peak[0] <= workers)
+    finally:
+        sys.setswitchinterval(interval)
+    # the parts of every block land in their own columns on any thread
+    assert rows[1] == rows[2] == rows[5]
 
 
 _TABLE = ReferenceTable(rows={(64, math.inf): 1e-3})

@@ -157,28 +157,82 @@ def _frexp_round(x, exponent_bits, mantissa_bits):
     return np.where(over, np.copysign(max_finite, x), q)
 
 
-def test_single_precision_cast_matches_frexp_rounding_bit_for_bit():
-    rng = np.random.default_rng(32)
-    values = rng.standard_normal(10**6) * 10.0 ** rng.uniform(-50.0, 50.0, 10**6)
-    top, tiny = 2.0**128, 2.0**-149  # overflow threshold, smallest subnormal
-    edges = np.array([
-        0.0, np.inf, np.nan, MODE32.max_finite,
-        top - 2.0**103,  # overflow midpoint: ties to even, past the top
-        np.nextafter(top - 2.0**103, 0.0), np.nextafter(top - 2.0**103, np.inf),
-        top, 1e39, 1.7976931348623157e308,
+def _rounding_edges(mode):
+    """Edge values of ``mode``'s format: overflow, underflow, ties, binary64."""
+    top = 2.0 ** (mode.bias + 1)  # overflow threshold
+    mid = top - 2.0 ** (mode.bias - mode.mantissa_bits - 1)  # overflow midpoint
+    tiny = 2.0 ** (mode.min_normal_exp - mode.mantissa_bits)  # smallest subnormal
+    normal = 2.0**mode.min_normal_exp
+    return np.array([
+        0.0, np.inf, np.nan, mode.max_finite,
+        mid,  # ties to even, past the top
+        np.nextafter(mid, 0.0), np.nextafter(mid, np.inf),
+        top, 10.0 * top, np.finfo(np.float64).max,
         tiny / 2, np.nextafter(tiny / 2, 1.0), np.nextafter(tiny / 2, 0.0),  # underflow midpoint
         tiny, 1.5 * tiny, 2.5 * tiny,  # subnormal midpoints, ties to even
-        2.0**-126 - tiny / 2,  # midway between the top subnormal and the smallest normal
-        2.0**-126, 5e-324, 1e-310,
+        normal - tiny / 2,  # midway between the top subnormal and the smallest normal
+        normal, 5e-324, 1e-310,
     ])
-    xs = np.concatenate([values, edges, -edges])
-    got = quantize(xs, MODE32)
-    want = _frexp_round(xs, 8, 23)
+
+
+def _assert_same_bits(got, want):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
-    assert quantize(-1e39, MODE32) == -MODE32.max_finite
-    assert math.copysign(1.0, quantize(-tiny / 2, MODE32)) == -1.0
+
+
+@pytest.mark.parametrize("mode", [MODE8, MODE16, MODE32], ids=lambda m: f"w{m.width}")
+def test_quantize_matches_frexp_rounding_bit_for_bit(mode):
+    rng = np.random.default_rng(mode.width)
+    values = rng.standard_normal(10**6) * 10.0 ** rng.uniform(-50.0, 50.0, 10**6)
+    edges = _rounding_edges(mode)
+    xs = np.concatenate([values, edges, -edges])
+    want = _frexp_round(xs, mode.exponent_bits, mode.mantissa_bits)
+    _assert_same_bits(quantize(xs, mode), want)
+    signed = np.stack([edges, -edges])  # 2-d
+    got = quantize(signed, mode)
+    assert got.shape == signed.shape
+    _assert_same_bits(got.ravel(), want[values.size:])
+    for x, w in zip(signed.ravel(), want[values.size:]):
+        q = quantize(x, mode)  # 0-d
+        assert q.shape == ()
+        _assert_same_bits(q.reshape(1), np.array([w]))
+    dbl_max = np.finfo(np.float64).max
+    assert quantize(-dbl_max, mode) == -mode.max_finite
+    assert quantize(dbl_max, mode) == mode.max_finite
+    tiny = 2.0 ** (mode.min_normal_exp - mode.mantissa_bits)
+    assert math.copysign(1.0, quantize(-tiny / 2, mode)) == -1.0
+
+
+_NATIVE = {16: np.float16, 32: np.float32}
+
+
+@pytest.mark.parametrize("op", ["add", "subtract", "multiply", "divide", "sqrt"])
+@pytest.mark.parametrize("mode", [MODE16, MODE32], ids=lambda m: f"w{m.width}")
+def test_rounding_a_binary64_result_is_the_native_narrow_operation(mode, op):
+    # binary64 has at least 2p + 2 significand bits for p = 11 and 24, so
+    # rounding its + - x / sqrt result once gives the narrow format's own
+    native = _NATIVE[mode.width]
+    rng = np.random.default_rng(mode.width)
+    top = math.log10(mode.max_finite)
+    with np.errstate(over="ignore"):
+        a, b = (
+            (rng.standard_normal(10**5) * 10.0 ** rng.uniform(-top, top, 10**5)).astype(native)
+            for _ in range(2)
+        )
+    keep = np.isfinite(a) & np.isfinite(b)
+    a, b = a[keep], b[keep]
+    fn = getattr(np, op)
+    args = (np.abs(a),) if op == "sqrt" else (a, b)
+    with np.errstate(all="ignore"):
+        want = fn(*args).astype(np.float64)
+        exact = fn(*(x.astype(np.float64) for x in args))
+        got = quantize(exact, mode)
+    # where only the narrow format overflows, quantize saturates
+    over = np.isinf(want) & np.isfinite(exact)
+    assert over.any() == (op in ("add", "subtract", "multiply", "divide"))
+    want[over] = np.copysign(mode.max_finite, want[over])
+    _assert_same_bits(got, want)
 
 
 def test_spec_value_examples():
@@ -220,14 +274,6 @@ def test_half_ulp_error_bound(mode):
     _, e = np.frexp(xs)
     ulp = 2.0 ** (np.maximum(e - 1, mode.min_normal_exp) - mode.mantissa_bits)
     assert np.all(np.abs(q - xs) <= ulp / 2.0 + 1e-300)
-
-
-@pytest.mark.parametrize("mode", [MODE8, MODE16, MODE32, MODE64])
-def test_commutativity(mode):
-    a = quantize(RNG.standard_normal(1000), mode)
-    b = quantize(RNG.standard_normal(1000), mode)
-    assert np.array_equal(quantize(a + b, mode), quantize(b + a, mode))
-    assert np.array_equal(quantize(a * b, mode), quantize(b * a, mode))
 
 
 def test_exact_halving_survives_subnormals():
