@@ -30,9 +30,14 @@ def snr_db_to_noise_std(snr_db: float) -> float:
     return float(10.0 ** (-snr_db / 20.0))
 
 
+@functools.lru_cache(maxsize=256)
 def _role_key(master_seed: int, role: int) -> np.ndarray:
+    # a pure function of (seed, role), built once per pair rather than once
+    # per noise part; read-only because every caller shares the array
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(role),))
-    return ss.generate_state(2, np.uint64)
+    key = ss.generate_state(2, np.uint64)
+    key.flags.writeable = False
+    return key
 
 
 def raw_stream(master_seed: int, role: int, start: int, count: int) -> np.ndarray:

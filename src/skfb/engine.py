@@ -3,11 +3,11 @@
 Trials are embarrassingly parallel: noise and messages for trial ``i``
 are pure functions of (config seed, i), so any partition of the trials
 gives the same integer counts.  The engine runs a cell's trials as
-contiguous blocks of at most ``CHUNK_TRIALS`` and merges the counts in
-block order.  A block's recursion is many short numpy calls that hold
+contiguous blocks of half a ``CHUNK_TRIALS`` chunk and merges the counts
+in block order.  A block's recursion is many short numpy calls that hold
 the GIL, so it runs once, on the calling thread; its noise, which
-releases the GIL, is derived in parts on every worker (see
-:func:`_map_chunks`).  Results are bit-identical for any worker count;
+releases the GIL, is derived in parts on every worker, one block ahead
+(see :func:`_map_chunks`).  Results are bit-identical for any worker count;
 the ``SKFB_THREADS`` environment variable caps the worker count, the
 calling thread included, for the library as for the command-line tool.
 
@@ -99,14 +99,6 @@ def _chunk_ranges(trials: int):
     return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
 
 
-def _split(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    """[lo, hi) as at most ``parts`` contiguous ranges, in order, whose
-    sizes differ by at most one trial; empty ranges are left out."""
-    size, extra = divmod(hi - lo, parts)
-    cuts = [lo + i * size + min(i, extra) for i in range(parts + 1)]
-    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-
-
 def _start_noise(submit, cfg: SkConfig, lo: int, hi: int):
     """Submit the noise parts of trials [lo, hi); returns a call that
     finishes them on this thread and returns the channel pair.
@@ -134,23 +126,23 @@ def _start_noise(submit, cfg: SkConfig, lo: int, hi: int):
 def _map_chunks(cfg: SkConfig, trials: int, stop_at_errors=None) -> Counter:
     """Counts of trials [0, trials), merged in block order.
 
-    Without ``stop_at_errors`` the blocks are the fewest near-equal ones
-    of at most ``CHUNK_TRIALS`` trials, and the next block's noise parts
-    are submitted before a block's recursion starts.  With it they are
-    the fixed ``CHUNK_TRIALS`` grid, one at a time, and the stop is
-    decided on the cumulative counts at each block boundary, so the cut
-    point does not depend on the worker count and no simulated trial is
-    discarded.  A block's recursion runs on this thread; its noise parts
-    run on ``workers - 1`` pool threads and on this one.
+    Each ``CHUNK_TRIALS`` chunk of the grid runs as two blocks of half a
+    chunk, so the block in flight and the next one hold one chunk of
+    noise.  A block's recursion runs on this thread; the next block's
+    noise parts are submitted before it starts and run on ``workers - 1``
+    pool threads and on this one.  With ``stop_at_errors`` the stop is
+    decided on the cumulative counts where a block ends on the chunk
+    grid, so the cut point does not depend on the worker count and no
+    simulated trial is discarded; the noise parts no thread has started
+    are dropped, and those in flight finish before this returns.
     """
-    if stop_at_errors is None:
-        blocks = _split(0, trials, -(-trials // CHUNK_TRIALS))
-    else:
-        blocks = _chunk_ranges(trials)
+    half = CHUNK_TRIALS // 2
+    blocks = [(lo, min(lo + half, trials)) for lo in range(0, trials, half)]
     workers = default_workers()
     halts = _halts(cfg)
     totals = Counter()
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+    pool = ThreadPoolExecutor(max_workers=max(1, workers - 1))
+    try:
         # at one worker a part's future never reaches the pool, so this
         # thread runs every part and no thread starts
         submit = pool.submit if workers > 1 else lambda part: Future()
@@ -158,14 +150,16 @@ def _map_chunks(cfg: SkConfig, trials: int, stop_at_errors=None) -> Counter:
         def noise(lo, hi):
             return None if halts else _start_noise(submit, cfg, lo, hi)
 
-        ahead = None
+        channels = noise(*blocks[0])
         for i, (lo, hi) in enumerate(blocks):
-            channels = ahead or noise(lo, hi)
-            lookahead = stop_at_errors is None and i + 1 < len(blocks)
-            ahead = noise(*blocks[i + 1]) if lookahead else None
+            ahead = noise(*blocks[i + 1]) if i + 1 < len(blocks) else None
             totals.update(_run_chunk(cfg, lo, hi, channels))
-            if stop_at_errors is not None and totals["bit_errors"] >= stop_at_errors:
+            if stop_at_errors is not None and hi % CHUNK_TRIALS == 0 \
+                    and totals["bit_errors"] >= stop_at_errors:
                 break
+            channels = ahead
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
     return totals
 
 

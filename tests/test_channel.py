@@ -151,6 +151,17 @@ def test_transmit_consumes_steps_in_order():
     assert np.array_equal(ch.transmit(np.ones(2), 2), [3.0, 6.0])
 
 
+@pytest.mark.parametrize("seed, role", [(SEED, ROLE_FORWARD), (2**64 - 1, ROLE_FEEDBACK), (0, 2)])
+def test_cached_role_key_equals_a_fresh_key_and_refuses_writes(seed, role):
+    fresh = np.random.SeedSequence(entropy=seed, spawn_key=(role,)).generate_state(2, np.uint64)
+    key = channel._role_key(seed, role)
+    assert channel._role_key(seed, role) is key  # built once per (seed, role)
+    assert key.dtype == np.uint64 and np.array_equal(key, fresh)
+    with pytest.raises(ValueError, match="read-only"):
+        key[0] = 0
+    assert np.array_equal(channel._role_key(seed, role), fresh)
+
+
 def test_raw_stream_requires_alignment():
     with pytest.raises(ValueError):
         raw_stream(SEED, ROLE_FORWARD, 2, 4)

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -200,22 +201,6 @@ def test_early_stop_is_deterministic_and_recorded():
     assert _without_wall_time([stopped]) == _without_wall_time([again])
 
 
-@settings(max_examples=200, deadline=None)
-@given(lo=st.integers(0, 10**6), n=st.integers(1, 10**6), parts=st.integers(1, 9))
-def test_split_covers_the_range_in_near_equal_ordered_parts(lo, n, parts):
-    pieces = engine._split(lo, lo + n, parts)
-    assert len(pieces) == min(n, parts)
-    assert pieces[0][0] == lo and pieces[-1][1] == lo + n
-    assert all(prev[1] == nxt[0] for prev, nxt in zip(pieces, pieces[1:]))
-    sizes = [b - a for a, b in pieces]
-    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-    # without a stop a cell runs as the fewest blocks of at most CHUNK_TRIALS
-    count = -(-n // CHUNK_TRIALS)
-    blocks = engine._split(lo, lo + n, count)
-    assert len(blocks) == count
-    assert max(hi - lo_ for lo_, hi in blocks) <= CHUNK_TRIALS
-
-
 def _recorded_chunks():
     """Patch ``_run_chunk`` to record (lo, hi, thread id) of every call."""
     calls, lock, run_chunk = [], threading.Lock(), engine._run_chunk
@@ -256,28 +241,79 @@ def test_rows_do_not_depend_on_the_worker_count(trials, stop_at_errors):
         assert rows[0]["trials"] < trials and rows[0]["trials"] % 64 == 0
 
 
-def test_a_cell_has_no_more_parts_than_grid_blocks():
-    calls, patch = _recorded_chunks()
-    with patch, mock.patch.object(engine, "CHUNK_TRIALS", 64), _threads(8):
-        estimate_ber(_STOPPING, 130)  # three blocks of 64, 64 and 2 trials
-    assert sorted((lo, hi) for lo, hi, _ in calls) == [(0, 44), (44, 87), (87, 130)]
-
-
-@pytest.mark.parametrize("stop_at_errors", [None, 10**9], ids=["whole", "per-block"])
-@pytest.mark.parametrize("cfg", [_HALTING[0], _HALTING[3]], ids=["w8", "n1300"])
-def test_halting_cells_map_the_chunks_of_a_healthy_cell(cfg, stop_at_errors):
+@pytest.mark.parametrize("stop_at_errors", [None, 10**9], ids=["whole", "never-stops"])
+@pytest.mark.parametrize(
+    "cfg", [_HALTING[0], _HALTING[3], _HEALTHY], ids=["w8", "n1300", "healthy"]
+)
+def test_a_cell_runs_half_chunk_blocks_one_at_a_time_on_the_calling_thread(cfg, stop_at_errors):
     # each block is one recursion, on the calling thread, for any worker count
-    if stop_at_errors is None:  # the fewest near-equal blocks
-        blocks = [(0, 60), (60, 120), (120, 180), (180, 240), (240, 300)]
-    else:  # the grid
-        blocks = [(0, 64), (64, 128), (128, 192), (192, 256), (256, 300)]
-    for cell in (cfg, _HEALTHY):
-        for workers in (1, 2, 3):
-            calls, patch = _recorded_chunks()
-            with patch, mock.patch.object(engine, "CHUNK_TRIALS", 64), _threads(workers):
-                estimate_ber(cell, 300, stop_at_errors)
-            assert [(lo, hi) for lo, hi, _ in calls] == blocks
-            assert {thread for _, _, thread in calls} == {threading.get_ident()}
+    blocks = [(lo, min(lo + 32, 300)) for lo in range(0, 300, 32)]  # the last ends at 300
+    for workers in (1, 2, 3):
+        calls, patch = _recorded_chunks()
+        with patch, mock.patch.object(engine, "CHUNK_TRIALS", 64), _threads(workers):
+            estimate_ber(cfg, 300, stop_at_errors)
+        assert [(lo, hi) for lo, hi, _ in calls] == blocks
+        assert {thread for _, _, thread in calls} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("stop_at_errors", [1, 150, 400])
+def test_a_cell_stops_only_where_a_block_ends_on_the_chunk_grid(stop_at_errors):
+    calls, patch = _recorded_chunks()
+    with mock.patch.object(engine, "CHUNK_TRIALS", 64), _threads(2):
+        with patch:
+            row = estimate_ber(_STOPPING, 64 * 20, stop_at_errors=stop_at_errors)
+        # the first half-block alone already reaches a stop of 1
+        first = estimate_ber(_STOPPING, 32)
+        before = estimate_ber(_STOPPING, row.trials - 64) if row.trials > 64 else None
+    assert first.bit_errors >= 1
+    assert 0 < row.trials < 64 * 20 and row.trials % 64 == 0
+    assert [(lo, hi) for lo, hi, _ in calls] == [(lo, lo + 32) for lo in range(0, row.trials, 32)]
+    # the cut is the first grid point where the cumulative errors reach the stop
+    assert row.bit_errors >= stop_at_errors
+    assert before is None or before.bit_errors < stop_at_errors
+
+
+@pytest.mark.parametrize("stop_at_errors", [1, 150])
+def test_a_stop_drops_noise_a_half_block_ahead_at_most_and_leaves_no_thread(stop_at_errors):
+    cfg = replace(_STOPPING, feedback_snr_db=10.0)  # two noisy roles
+    threads = threading.active_count()
+    with mock.patch.object(
+        channel, "standard_normals", wraps=channel.standard_normals
+    ) as spy, mock.patch.object(engine, "CHUNK_TRIALS", 64), \
+            mock.patch.object(channel, "NOISE_PART_TRIALS", 8), _threads(2):
+        row = estimate_ber(cfg, 64 * 20, stop_at_errors=stop_at_errors)
+    assert threading.active_count() == threads  # the pool's threads have exited
+    derived = Counter()
+    for call in spy.call_args_list:
+        derived[call.args[1]] += call.args[3] - call.args[2]
+    for role in (channel.ROLE_FORWARD, channel.ROLE_FEEDBACK):
+        assert row.trials <= derived[role] <= row.trials + 32
+
+
+@pytest.mark.parametrize(
+    "cfg, trials, stop_at_errors, ran",
+    [
+        (SkConfig(k=50, n_total=150, seed=3), 100_000, None, 100_000),
+        (SkConfig(k=2, n_total=60, forward_snr_db=-10.0, seed=3), 200_000, 1500, 3 * CHUNK_TRIALS),
+    ],
+    ids=["whole", "stops-after-3-chunks"],
+)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_cell_holds_one_chunk_of_noise(cfg, trials, stop_at_errors, ran, workers):
+    # one float64 (CHUNK_TRIALS x n_total) array for the forward noise, the
+    # Philox words of one noise part on each worker, and 3 MiB for the
+    # recursion state and the message labels
+    words = channel.NOISE_PART_TRIALS * channel._stride(cfg.n_total) * 8
+    bound = CHUNK_TRIALS * cfg.n_total * 8 + workers * words + 3 * 2**20
+    with _threads(workers):
+        tracemalloc.start()  # counts numpy's arrays as well as Python objects
+        try:
+            row = estimate_ber(cfg, trials, stop_at_errors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert row.trials == ran
+    assert peak <= bound, f"{peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
 
 def test_no_more_threads_than_workers_derive_noise_or_simulate_at_once():
