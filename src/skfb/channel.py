@@ -12,6 +12,7 @@ use reads one contiguous column.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,22 @@ def snr_db_to_noise_std(snr_db: float) -> float:
     if snr_db == np.inf:
         return 0.0
     return float(10.0 ** (-snr_db / 20.0))
+
+
+def noise_variance(snr_db: float) -> float:
+    """sigma^2; OverflowError below about -3082.5 dB, past binary64."""
+    return snr_db_to_noise_std(snr_db) ** 2
+
+
+def snr_db_error(snr_db: float) -> str | None:
+    """Why ``SkConfig`` and the command-line tool refuse an SNR, or None."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        return "must be a number or +inf"
+    try:
+        noise_variance(snr_db)
+    except OverflowError:
+        return "must be at least about -3082.5 dB (the noise variance overflows binary64 below it)"
+    return None
 
 
 @functools.lru_cache(maxsize=256)
@@ -110,7 +127,8 @@ class AwgnChannel:
     of each use is a pure function of (seed, role, trial, step) and never
     of how often the channel was used before.  The block from
     :func:`standard_normals` is stored step-major, so that column is one
-    contiguous read.  ``snr_db = inf`` is a noiseless passthrough.
+    contiguous read.  ``snr_db = inf`` is a noiseless passthrough; the
+    codec uses it only forward, and takes noiseless feedback without it.
     """
 
     snr_db: float

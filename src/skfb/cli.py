@@ -10,12 +10,14 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
 from dataclasses import fields
 
 from . import __version__
+from .channel import snr_db_error
 from .codec import analytic_ber_oracle, optimize_gamma, schedule
 from .core import BitMapping, SkConfig, SkVariant
 from .engine import estimate_ber, sweep_block_length, sweep_feedback_snr, sweep_precision_grid
@@ -43,10 +45,14 @@ def _read(kind, text: str):
         raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
 
 
+_parse_int = functools.partial(_read, int)
+_parse_float = functools.partial(_read, float)
+
+
 def _parse_snr(text: str) -> float:
     value = _read(float, text)
-    if math.isnan(value) or value == -math.inf:
-        raise argparse.ArgumentTypeError(f"SNR must be a number or +inf, got {text!r}")
+    if why := snr_db_error(value):
+        raise argparse.ArgumentTypeError(f"SNR {why}, got {text!r}")
     return value
 
 
@@ -120,14 +126,14 @@ _FLAGS = {
         default=SkVariant.ESTIMATE_DIFFERENCE.value,
         help="SK recursion form (default: %(default)s)",
     ),
-    "--k": dict(type=int, default=1, help="information bits per block"),
+    "--k": dict(type=_parse_int, default=1, help="information bits per block"),
     "--k-min": dict(
-        dest="k", metavar="K_MIN", type=int, required=True,
+        dest="k", metavar="K_MIN", type=_parse_int, required=True,
         help="smallest K; the other flags are checked against this cell",
     ),
-    "--k-max": dict(type=int, required=True, help="largest K"),
-    "--k-step": dict(type=int, default=1, help="K increment (default 1)"),
-    "--n": dict(type=int, default=None, help="total channel uses"),
+    "--k-max": dict(type=_parse_int, required=True, help="largest K"),
+    "--k-step": dict(type=_parse_int, default=1, help="K increment (default 1)"),
+    "--n": dict(type=_parse_int, default=None, help="total channel uses"),
     "--rate": dict(type=_parse_rate, default=DEFAULT_RATE, help="coding rate K/N (default 1/3)"),
     "--snr-db": dict(
         dest="forward_snr_db", metavar="SNR_DB", type=_parse_snr, default=0.0,
@@ -140,8 +146,8 @@ _FLAGS = {
         type=_parse_snr_list, required=True, help="comma-separated feedback SNRs in dB"
     ),
     "--precision": dict(
-        type=int, choices=WIDTHS, default=64,
-        help="emulated arithmetic width (default: %(default)s)",
+        type=_parse_precision, default=64,
+        help=f"emulated arithmetic width: {', '.join(map(str, WIDTHS))} (default: %(default)s)",
     ),
     "--precisions": dict(
         type=_parse_precision_list, default=list(WIDTHS),
@@ -150,7 +156,7 @@ _FLAGS = {
     "--reference": dict(
         required=True, help="CSV with header precision_bits,feedback_snr_db,reference_ber"
     ),
-    "--gamma": dict(type=float, default=1.0, help="first-use power fraction (default 1.0)"),
+    "--gamma": dict(type=_parse_float, default=1.0, help="first-use power fraction (default 1.0)"),
     "--gamma-grid": dict(
         type=_parse_float_list, required=True, help="comma-separated gamma values to scan"
     ),

@@ -24,7 +24,8 @@ and receipt of a channel output rounds it into the state's precision.
 
 State fields are arrays over a block of trials; a block of one gives the
 single-trial view.  Trials whose state goes non-finite are flagged
-failed, transmit zeros from then on, and decode to position 0.
+failed, transmit zeros from then on, and decode to position 0, so every
+channel output is finite (``SkConfig`` bounds the noise variance).
 
 ``block_states`` is the one loop over a block's channel uses; it yields
 the state after each use, whose ``SkState.x`` is the symbol that use sent.
@@ -94,7 +95,7 @@ def schedule(cfg: SkConfig) -> Schedule:
     u_var = np.full(n + 1, np.nan)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sigma2 = quantize(_channel.snr_db_to_noise_std(cfg.forward_snr_db) ** 2, mode)
+        sigma2 = quantize(_channel.noise_variance(cfg.forward_snr_db), mode)
         p_rest = quantize(residual_power(cfg), mode)
         gamma = quantize(cfg.gamma, mode)
         sqrt_gamma = quantize(np.sqrt(gamma), mode)
@@ -150,10 +151,9 @@ def sk_init(theta, cfg: SkConfig, channels) -> SkState:
         y0 = quantize(forward.transmit(x0, 0), mode)
         theta_hat_rx = quantize(y0 / sqrt_gamma, mode)
         if feedback.noise is None:
-            # noiseless feedback returns the receiver's own rounded output, so
-            # the transmitter's copy of the estimate is the receiver's
-            y0_fb = feedback.transmit(y0, 0)
-            theta_hat_tx = theta_hat_rx
+            # noiseless feedback is decided here and in sk_step: the transmitter
+            # sees the receiver's own output, so its copy is the receiver's
+            y0_fb, theta_hat_tx = y0, theta_hat_rx
         else:
             y0_fb = quantize(feedback.transmit(y0, 0), mode)
             theta_hat_tx = quantize(y0_fb / sqrt_gamma, mode)
@@ -212,8 +212,7 @@ def sk_step(state: SkState, cfg: SkConfig, channels) -> SkState:
         theta_hat_rx = quantize(state.theta_hat_rx - quantize(beta * y, mode), mode)
         failed |= ~np.isfinite(theta_hat_rx)
         if feedback.noise is None:  # the transmitter's copy is the receiver's
-            y_fb = feedback.transmit(y, n)
-            theta_hat_tx = theta_hat_rx
+            y_fb, theta_hat_tx = y, theta_hat_rx
         else:
             y_fb = quantize(feedback.transmit(y, n), mode)
             theta_hat_tx = quantize(state.theta_hat_tx - quantize(beta * y_fb, mode), mode)
@@ -268,7 +267,7 @@ def terminal_estimate_std(cfg: SkConfig) -> float:
     (sigma^2 / gamma) * (sigma^2 / (P_rest + sigma^2))^(n_total - 1)
     directly in double precision.
     """
-    sigma2 = _channel.snr_db_to_noise_std(cfg.forward_snr_db) ** 2
+    sigma2 = _channel.noise_variance(cfg.forward_snr_db)
     if sigma2 == 0.0:
         return 0.0
     p_rest = residual_power(cfg)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import snr_db_error
 from .precision import PrecisionMode
 
 MAX_K = 64  # message indices must fit an unsigned 64-bit integer
@@ -87,8 +88,8 @@ class SkConfig:
             raise ValueError(f"n_total must be >= 1, got {self.n_total}")
         for name in ("forward_snr_db", "feedback_snr_db"):
             snr = getattr(self, name)
-            if math.isnan(snr) or snr == -math.inf:
-                raise ValueError(f"{name} must be a number or +inf, got {snr}")
+            if why := snr_db_error(snr):
+                raise ValueError(f"{name} {why}, got {snr}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.n_total == 1 and self.gamma > 1:
@@ -129,7 +130,8 @@ def value_to_index(value, k: int):
     Beyond K=53 adjacent positions are not distinct in binary64, so the
     nearest position is only resolved to within the float spacing there.
     """
-    t = (np.asarray(value, dtype=np.float64) / pam_step(k) + (2.0**k - 1.0)) / 2.0
+    with np.errstate(over="ignore"):  # far beyond either end t is +-inf, which the clip maps
+        t = (np.asarray(value, dtype=np.float64) / pam_step(k) + (2.0**k - 1.0)) / 2.0
     # ceil(t - 1/2) rounds to nearest with half-way cases going down
     m = np.ceil(t - 0.5)
     # 2^k - 1 rounds up to 2^k in float64 for k >= 54, so the top end is

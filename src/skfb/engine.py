@@ -66,21 +66,17 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _halts(cfg: SkConfig) -> bool:
-    """Whether ``cfg``'s schedule halts before the last channel use."""
-    return _codec.schedule(cfg).halt < cfg.n_total
-
-
 def _run_chunk(cfg: SkConfig, lo: int, hi: int, channels) -> dict:
     """Simulate trials [lo, hi); returns their integer counts.
 
     ``channels()`` returns the block's channel pair once its noise is
-    derived.  A cell whose schedule halts before the last use is decided
-    from its message labels alone: every trial fails and decodes to
-    position 0, so no step is run and ``channels`` (None) is not called.
+    derived.  ``channels`` is None exactly when the cell's schedule halts
+    before the last use, which :func:`_map_chunks` decides once per cell:
+    the block is then decided from its message labels alone, since every
+    trial fails and decodes to position 0, and no step is run.
     """
     labels = _channel.message_indices(cfg.seed, lo, hi, cfg.k)
-    if _halts(cfg):
+    if channels is None:
         idx = np.zeros(hi - lo, dtype=np.uint64)
         failed = np.ones(hi - lo, dtype=bool)
     else:
@@ -139,7 +135,7 @@ def _map_chunks(cfg: SkConfig, trials: int, stop_at_errors=None) -> Counter:
     half = CHUNK_TRIALS // 2
     blocks = [(lo, min(lo + half, trials)) for lo in range(0, trials, half)]
     workers = default_workers()
-    halts = _halts(cfg)
+    halts = _codec.schedule(cfg).halt < cfg.n_total  # then every block gets channels None
     totals = Counter()
     pool = ThreadPoolExecutor(max_workers=max(1, workers - 1))
     try:

@@ -175,9 +175,15 @@ def test_trials_and_rate_out_of_range_are_usage_errors(argv, flag, capsys):
           "--reference", "/nonexistent/ref.csv"], "--precisions"),
         (["ber", "--feedback-snr-db=-inf"], "--feedback-snr-db"),
         (["ber", "--snr-db=-inf"], "--snr-db"),
+        # below about -3082.5 dB the noise variance overflows binary64
+        (["ber", "--snr-db=-3100"], "--snr-db"),
+        (["ber", "--feedback-snr-db", "-3100"], "--feedback-snr-db"),
+        (["sweep-feedback", "--k-max", "2", "--feedback-snr-list", "20,-3100"],
+         "--feedback-snr-list"),
     ],
     ids=["snr-list-nan", "snr-list-minus-inf", "precisions-12", "feedback-snr-minus-inf",
-         "snr-minus-inf"],
+         "snr-minus-inf", "snr-below-bound", "feedback-snr-below-bound",
+         "snr-list-below-bound"],
 )
 def test_list_entries_are_checked_like_their_single_value_flags(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -285,8 +291,20 @@ def test_precision_flags_accept_exactly_the_four_widths():
           "--precisions", "8,16.0"], "'16.0'"),
         (["sweep-feedback", "--k-max", "1", "--feedback-snr-list", "20,abc"], "'abc'"),
         (["optimize-gamma", "--k", "2", "--gamma-grid", "1,2x"], "'2x'"),
+        # every value flag reads through the same readers as the list entries
+        (["ber", "--k", "x"], "expected an integer, got 'x'"),
+        (["sweep-k", "--k-max", "3", "--k-min", "1.5"], "expected an integer, got '1.5'"),
+        (["sweep-k", "--k-min", "1", "--k-max", "x"], "expected an integer, got 'x'"),
+        (["sweep-k", "--k-min", "1", "--k-max", "3", "--k-step", "x"],
+         "expected an integer, got 'x'"),
+        (["ber", "--n", "3.0"], "expected an integer, got '3.0'"),
+        (["ber", "--gamma", "x"], "expected a number, got 'x'"),
+        (["ber", "--precision", "12"], "width must be one of 8, 16, 32, 64, got 12"),
+        (["sweep-precision", "--k-min", "1", "--k-max", "1", "--reference", REFERENCE,
+          "--precisions", "12"], "width must be one of 8, 16, 32, 64, got 12"),
     ],
-    ids=["precisions", "feedback-snr-list", "gamma-grid"],
+    ids=["precisions", "feedback-snr-list", "gamma-grid", "k", "k-min", "k-max", "k-step",
+         "n", "gamma", "precision-12", "precisions-12"],
 )
 def test_a_bad_list_entry_is_named_in_the_usage_error(argv, entry, capsys):
     with pytest.raises(SystemExit) as exc:

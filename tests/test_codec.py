@@ -226,6 +226,29 @@ def test_aliased_copy_matches_zero_noise_feedback(variant, bits):
         assert np.array_equal(a, b)
 
 
+class _UnusableNoiselessFeedback:
+    """A noiseless feedback channel whose transmit must not be called."""
+
+    noise = None
+
+    def transmit(self, x, step):
+        raise AssertionError(f"noiseless feedback went through transmit at use {step}")
+
+
+@pytest.mark.parametrize("variant", list(SkVariant))
+@pytest.mark.parametrize("bits", [8, 64])
+def test_noiseless_feedback_does_not_pass_through_the_feedback_channel(variant, bits):
+    # k=6, n=30 at 8 bits halts at use 11, so failed trials are covered too
+    cfg = SkConfig(variant=variant, k=6, n_total=30, precision=PrecisionMode(bits), seed=bits)
+    n_trials = 1000
+    forward, feedback = make_channels(cfg, 0, n_trials)
+    theta = index_to_value(message_indices(cfg.seed, 0, n_trials, cfg.k), cfg.k)
+    expected = run_block(cfg, theta, (forward, feedback))
+    got = run_block(cfg, theta, (forward, _UnusableNoiselessFeedback()))
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
 def test_schedule_halt_is_the_first_overflowing_alpha():
     def halt(bits, n, snr=0.0):
         return schedule(SkConfig(k=1, n_total=n, forward_snr_db=snr, precision=PrecisionMode(bits))).halt

@@ -106,6 +106,15 @@ def test_decode_clamps_outliers_beyond_53_bits(k):
     assert list(idx) == [0, index_mask(k)]
 
 
+@pytest.mark.parametrize("k", [1, 2, 53, 64])
+def test_decode_clamps_values_whose_scaling_overflows(k):
+    # v / pam_step(k) overflows to +-inf for k >= 2; that must not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx = value_to_index(np.array([1.7e308, -1.7e308, np.finfo(float).max]), k)
+    assert list(idx) == [index_mask(k), 0, index_mask(k)]
+
+
 def test_bit_errors_examples():
     # the engine counts bit errors as popcount(sent label ^ decoded label)
     sent = np.array([0b011, 0b00, 0b1, 2**64 - 1], dtype=np.uint64)
@@ -166,6 +175,10 @@ def test_config_defaults_and_validation():
         ("forward_snr_db", dict(forward_snr_db=False)),
         ("feedback_snr_db", dict(feedback_snr_db="inf")),
         ("feedback_snr_db", dict(feedback_snr_db=1j)),
+        # below about -3082.5 dB the noise variance overflows binary64
+        ("forward_snr_db", dict(forward_snr_db=-3082.6)),
+        ("feedback_snr_db", dict(feedback_snr_db=-3100.0)),
+        ("feedback_snr_db", dict(feedback_snr_db=-7000.0)),
     ],
 )
 def test_config_refusals_name_the_field(field, overrides):
@@ -188,6 +201,7 @@ def test_config_stores_integer_fields_as_int():
 def test_config_accepts_the_edges_the_model_honours():
     assert SkConfig(k=2, forward_snr_db=math.inf, feedback_snr_db=math.inf).n_total == 6
     assert SkConfig(k=1, n_total=1, gamma=1.0).gamma == 1.0
+    assert SkConfig(k=2, forward_snr_db=-3082.5, feedback_snr_db=-3082.5).n_total == 6
 
 
 def test_large_k_interfaces_stay_finite():

@@ -655,6 +655,13 @@ _SNRS = st.one_of(st.floats(-20.0, 60.0), st.just(math.inf))
 # an 8-bit and a 16-bit cell whose schedule halts (steps 11 and 26), every run
 @example(SkVariant.ESTIMATE_DIFFERENCE, 8, 24, 0.0, math.inf, 8, 1.0, BitMapping.NATURAL, 1)
 @example(SkVariant.ERROR_RECURSION, 14, 40, 0.0, 20.0, 16, 1.0, BitMapping.GRAY, 2)
+# SNRs just above the bound where the noise variance overflows binary64, on
+# each role, and below it, which SkConfig refuses
+@example(SkVariant.ERROR_RECURSION, 20, None, -3082.0, -3082.0, 64, 1.0, BitMapping.NATURAL, 3)
+@example(SkVariant.ESTIMATE_DIFFERENCE, 2, None, -3082.0, math.inf, 8, 0.5, BitMapping.GRAY, 4)
+@example(SkVariant.ESTIMATE_DIFFERENCE, 53, None, 0.0, -3082.0, 16, 1.0, BitMapping.NATURAL, 5)
+@example(SkVariant.ESTIMATE_DIFFERENCE, 2, None, -3100.0, math.inf, 64, 1.0, BitMapping.NATURAL, 6)
+@example(SkVariant.ERROR_RECURSION, 2, None, 0.0, -3100.0, 32, 1.0, BitMapping.NATURAL, 7)
 def test_every_constructible_config_gives_valid_counts(
     variant, k, n_total, forward_snr_db, feedback_snr_db, bits, gamma, bit_mapping, seed
 ):
