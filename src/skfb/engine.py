@@ -1,15 +1,15 @@
 """Deterministic parallel Monte Carlo BER estimation and the sweeps.
 
-Trials are embarrassingly parallel: noise and messages for trial ``i``
-are pure functions of (config seed, i), so any partition of the trials
-gives the same integer counts.  The engine runs a cell's trials as
-contiguous blocks of half a ``CHUNK_TRIALS`` chunk and merges the counts
-in block order.  A block's recursion is many short numpy calls that hold
-the GIL, so it runs once, on the calling thread; its noise, which
-releases the GIL, is derived in parts on every worker, one block ahead
-(see :func:`_map_chunks`).  Results are bit-identical for any worker count;
-the ``SKFB_THREADS`` environment variable caps the worker count, the
-calling thread included, for the library as for the command-line tool.
+Noise and messages for trial ``i`` are pure functions of (config seed,
+i).  One block mapper, :func:`_map_chunks`, runs each per-trial reduction
+(BER counts, symbol power) over contiguous blocks of half a
+``CHUNK_TRIALS`` chunk and sums the results in block order.  A block's
+recursion is many short numpy calls that hold the GIL, so it runs once,
+on the calling thread; its noise, which releases the GIL, is derived in
+parts on every worker, one block ahead.  Results are bit-identical for
+any worker count; the ``SKFB_THREADS`` environment variable caps the
+worker count, the calling thread included, for the library as for the
+command-line tool.
 
 ``estimate_ber`` runs one cell and returns the timed CSV row the
 command-line tool prints.  Each of the three sweeps is the one
@@ -71,7 +71,7 @@ def _run_chunk(cfg: SkConfig, lo: int, hi: int, channels) -> dict:
 
     ``channels()`` returns the block's channel pair once its noise is
     derived.  ``channels`` is None exactly when the cell's schedule halts
-    before the last use, which :func:`_map_chunks` decides once per cell:
+    before the last use, which :func:`estimate_ber` decides once per cell:
     the block is then decided from its message labels alone, since every
     trial fails and decodes to position 0, and no step is run.
     """
@@ -82,17 +82,12 @@ def _run_chunk(cfg: SkConfig, lo: int, hi: int, channels) -> dict:
     else:
         theta = index_to_value(index_of_label(labels, cfg.k, cfg.bit_mapping), cfg.k)
         idx, failed = _codec.run_block(cfg, theta, channels())
-    decoded_labels = label_of_index(idx, cfg.k, cfg.bit_mapping)
-    errors = popcount_u64(labels ^ decoded_labels)
+    errors = popcount_u64(labels ^ label_of_index(idx, cfg.k, cfg.bit_mapping))
     return {
         "trials": hi - lo,
         "bit_errors": int(errors.sum()),
         "failed": int(np.count_nonzero(failed)),
     }
-
-
-def _chunk_ranges(trials: int):
-    return [(lo, min(lo + CHUNK_TRIALS, trials)) for lo in range(0, trials, CHUNK_TRIALS)]
 
 
 def _start_noise(submit, cfg: SkConfig, lo: int, hi: int):
@@ -119,23 +114,23 @@ def _start_noise(submit, cfg: SkConfig, lo: int, hi: int):
     return finish
 
 
-def _map_chunks(cfg: SkConfig, trials: int, stop_at_errors=None) -> Counter:
-    """Counts of trials [0, trials), merged in block order.
+def _map_chunks(cfg: SkConfig, trials: int, reduce, stop_at_errors=None, halts=False) -> Counter:
+    """``reduce(cfg, lo, hi, channels)`` summed over blocks, in block order.
 
-    Each ``CHUNK_TRIALS`` chunk of the grid runs as two blocks of half a
-    chunk, so the block in flight and the next one hold one chunk of
-    noise.  A block's recursion runs on this thread; the next block's
-    noise parts are submitted before it starts and run on ``workers - 1``
-    pool threads and on this one.  With ``stop_at_errors`` the stop is
-    decided on the cumulative counts where a block ends on the chunk
-    grid, so the cut point does not depend on the worker count and no
-    simulated trial is discarded; the noise parts no thread has started
-    are dropped, and those in flight finish before this returns.
+    Each ``CHUNK_TRIALS`` chunk runs as two blocks of half a chunk, so the
+    block in flight and the next one hold one chunk of noise.  A block's
+    reduction runs on this thread; the next block's noise parts are
+    submitted before it starts and run on ``workers - 1`` pool threads and
+    on this one.  With ``halts`` no noise is derived and ``channels`` is
+    None.  With ``stop_at_errors`` the stop is decided on the cumulative
+    ``bit_errors`` where a block ends on the chunk grid, so the cut point
+    does not depend on the worker count and no reduced trial is discarded;
+    the noise parts no thread has started are dropped, and those in flight
+    finish before this returns.
     """
     half = CHUNK_TRIALS // 2
     blocks = [(lo, min(lo + half, trials)) for lo in range(0, trials, half)]
     workers = default_workers()
-    halts = _codec.schedule(cfg).halt < cfg.n_total  # then every block gets channels None
     totals = Counter()
     pool = ThreadPoolExecutor(max_workers=max(1, workers - 1))
     try:
@@ -149,7 +144,7 @@ def _map_chunks(cfg: SkConfig, trials: int, stop_at_errors=None) -> Counter:
         channels = noise(*blocks[0])
         for i, (lo, hi) in enumerate(blocks):
             ahead = noise(*blocks[i + 1]) if i + 1 < len(blocks) else None
-            totals.update(_run_chunk(cfg, lo, hi, channels))
+            totals.update(reduce(cfg, lo, hi, channels))
             if stop_at_errors is not None and hi % CHUNK_TRIALS == 0 \
                     and totals["bit_errors"] >= stop_at_errors:
                 break
@@ -170,14 +165,15 @@ def estimate_ber(cfg: SkConfig, trials: int, stop_at_errors: int | None = None) 
     Per-trial randomness is derived from (cfg.seed, trial index), so every
     column but ``wall_time_seconds`` is a pure function of (cfg, trials,
     stop_at_errors).  With ``stop_at_errors`` set, simulation ends at the
-    first block boundary where at least that many bit errors have
-    accumulated; the row's ``trials`` is what was actually run.
+    first multiple of ``CHUNK_TRIALS`` trials that reaches that many bit
+    errors; the row's ``trials`` is what was actually run.
     """
     _check_count("trials", trials)
     if stop_at_errors is not None:
         _check_count("stop_at_errors", stop_at_errors)
     t0 = time.perf_counter()
-    totals = _map_chunks(cfg, trials, stop_at_errors)
+    halts = _codec.schedule(cfg).halt < cfg.n_total  # every trial fails: no noise, no step
+    totals = _map_chunks(cfg, trials, _run_chunk, stop_at_errors, halts)
     n_bits = totals["trials"] * cfg.k
     ci_low, ci_high = wilson_interval(totals["bit_errors"], n_bits)
     return RunRecord(
@@ -196,33 +192,37 @@ def estimate_ber(cfg: SkConfig, trials: int, stop_at_errors: int | None = None) 
 def measure_symbol_power(cfg: SkConfig, trials: int, steps) -> dict[int, tuple[float, float]]:
     """Empirical (mean, std-error) of X_n^2 at the requested steps.
 
-    Each chunk of trials walks the block loop up to the last requested
-    step, and the sums of the sent X_n^2 and X_n^4 are added in chunk
-    order.  Failed trials send 0, so from the schedule's halt on the
+    Each block of trials walks ``codec.block_states`` up to the last
+    requested step, and the sums of the sent X_n^2 and X_n^4 are added in
+    block order.  Failed trials send 0, so from the schedule's halt on the
     power is 0.
     """
     _check_count("trials", trials)
     steps = tuple(steps)
-    if not all(isinstance(n, numbers.Integral) for n in steps):
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in steps):
         raise ValueError(f"steps must be integers, got {steps!r}")
     if any(not 1 <= n < cfg.n_total for n in steps):
         raise ValueError(f"steps must lie in [1, {cfg.n_total}), got {steps!r}")
-    sums = {int(n): [0.0, 0.0] for n in steps}
-    last = max(sums, default=0)
-    for lo, hi in _chunk_ranges(trials):
+    wanted = dict.fromkeys(int(n) for n in steps)  # in order, each once
+    last = max(wanted, default=0)
+
+    def power(cfg, lo, hi, channels):
         labels = _channel.message_indices(cfg.seed, lo, hi, cfg.k)
         theta = index_to_value(index_of_label(labels, cfg.k, cfg.bit_mapping), cfg.k)
-        for state in _codec.block_states(cfg, theta, _channel.make_channels(cfg, lo, hi)):
-            if state.step in sums:
-                x = state.x
-                sums[state.step][0] += float(np.sum(x * x))
-                sums[state.step][1] += float(np.sum(x**4))
+        sums = {}
+        for state in _codec.block_states(cfg, theta, channels()):
+            if state.step in wanted:
+                sums[state.step, 2] = float(np.sum(state.x * state.x))
+                sums[state.step, 4] = float(np.sum(state.x**4))
             if state.step == last:
                 break
+        return sums
+
+    totals = _map_chunks(cfg, trials, power)
     out = {}
-    for step, (s2, s4) in sums.items():
-        mean = s2 / trials
-        var = max(0.0, s4 / trials - mean * mean)
+    for step in wanted:
+        mean = totals[step, 2] / trials
+        var = max(0.0, totals[step, 4] / trials - mean * mean)
         out[step] = (mean, math.sqrt(var / trials))
     return out
 

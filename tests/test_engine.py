@@ -110,15 +110,15 @@ def test_non_integer_counts_are_refused(name, counts):
         estimate_ber(SkConfig(k=2), **counts)
 
 
-def _hand_loop(cfg, trials):
-    """Every one of the n_total uses, stepped by hand over all trials.
+def _hand_loop(cfg, hi, lo=0):
+    """Every one of the n_total uses, stepped by hand over trials [lo, hi).
 
     Returns the per-trial (bit errors, failed) and, per step n >= 1, the
     sums of X_n^2 and X_n^4 over trials (failed trials send 0).
     """
-    labels = message_indices(cfg.seed, 0, trials, cfg.k)
+    labels = message_indices(cfg.seed, lo, hi, cfg.k)
     theta = index_to_value(index_of_label(labels, cfg.k, cfg.bit_mapping), cfg.k)
-    channels = make_channels(cfg, 0, trials)
+    channels = make_channels(cfg, lo, hi)
     alpha = schedule(cfg).alpha
     state = sk_init(theta, cfg, channels)
     power = {}
@@ -175,12 +175,22 @@ def test_only_cells_that_reach_the_last_use_derive_noise(cfg):
     assert variates == (0 if halts else 2 * noisy_roles * 300 * cfg.n_total)
 
 
-@pytest.mark.parametrize("cfg", _HALTING[:3], ids=lambda c: f"w{c.precision.width}-n{c.n_total}")
-def test_symbol_power_past_the_halt_matches_a_hand_loop(cfg):
-    trials = 500  # one chunk, so the sums are added in the same order
-    _, _, power = _hand_loop(cfg, trials)
+@pytest.mark.parametrize("cfg, chunk", [
+    *(pytest.param(c, None, id=f"w{c.precision.width}-n{c.n_total}") for c in _HALTING[:3]),
+    pytest.param(_HALTING[2], 128, id="w16-n30-blocks"),
+])
+def test_symbol_power_past_the_halt_matches_a_hand_loop(cfg, chunk):
+    # chunk None: one block; else the hand loop sums each half-chunk
+    # block and adds the block sums in block order, as the engine does
+    trials, chunk = 500, chunk or CHUNK_TRIALS
+    half = chunk // 2
+    power = {}
+    for lo in range(0, trials, half):
+        for step, sums in _hand_loop(cfg, min(lo + half, trials), lo)[2].items():
+            power[step] = tuple(a + b for a, b in zip(power.get(step, (0.0, 0.0)), sums))
     steps = range(1, cfg.n_total)
-    measured = measure_symbol_power(cfg, trials, steps)
+    with mock.patch.object(engine, "CHUNK_TRIALS", chunk):
+        measured = measure_symbol_power(cfg, trials, steps)
     for step in steps:
         s2, s4 = power[step]
         mean = s2 / trials
@@ -612,7 +622,7 @@ def test_measure_symbol_power_validates_steps():
     for trials in (0, -5):
         with pytest.raises(ValueError, match="trials"):
             measure_symbol_power(SkConfig(k=2, n_total=6), trials, [1])
-    for steps in ([1.7, 2], [np.float64(2.0)]):
+    for steps in ([1.7, 2], [np.float64(2.0)], [True], [np.True_]):
         with pytest.raises(ValueError, match="steps"):
             measure_symbol_power(SkConfig(k=2, n_total=6), 100, steps)
     # numpy integers are steps like any other
@@ -623,10 +633,20 @@ def test_measure_symbol_power_validates_steps():
 
 @pytest.mark.parametrize("steps", [(), (2,), (1, 4, 3)])
 def test_measure_symbol_power_steps_each_chunk_to_its_last_step(steps):
-    with mock.patch.object(engine, "CHUNK_TRIALS", 64):  # four chunks
+    with mock.patch.object(engine, "CHUNK_TRIALS", 64):  # seven blocks of 32
         with mock.patch.object(codec, "sk_step", wraps=codec.sk_step) as spy:
             measure_symbol_power(SkConfig(k=2, n_total=6), 200, steps)
-    assert spy.call_count == 4 * max(steps, default=0)
+    assert spy.call_count == 7 * max(steps, default=0)
+
+
+def test_symbol_power_does_not_depend_on_the_worker_count():
+    cfg = SkConfig(k=3, n_total=9, feedback_snr_db=25.0, precision=PrecisionMode(16), seed=5)
+    powers = []
+    with mock.patch.object(engine, "CHUNK_TRIALS", 64):
+        for workers in (1, 2, 3):
+            with _threads(workers):
+                powers.append(measure_symbol_power(cfg, 64 * 3 + 1, range(1, cfg.n_total)))
+    assert powers[0] == powers[1] == powers[2]
 
 
 def test_measure_symbol_power_near_unit():

@@ -3,8 +3,8 @@
 The CLI golden CSVs never reach the symbol-power measurement, so its
 exact (mean, std-error) at every step of a grid of cells is stored in
 ``tests/golden/symbol_power.json`` as the ``repr`` of each float.  The
-chunk size is patched small, so each value is a sum over several chunks
-in chunk order.  The fixture was recorded with
+chunk size is patched small, so each value is a sum over several blocks
+in block order.  The fixture was recorded with
 ``PYTHONPATH=src python tests/test_golden_symbol_power.py``; re-record it
 only with a declared numerics change.
 """
@@ -21,7 +21,7 @@ from skfb.precision import PrecisionMode
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "symbol_power.json"
 TRIALS = 300
-CHUNK = 128  # three chunks, the last one ragged
+CHUNK = 128  # five half-chunk blocks, the last one ragged
 
 
 def _cells() -> dict[str, SkConfig]:
