@@ -68,8 +68,9 @@ def raw_stream(master_seed: int, role: int, start: int, count: int) -> np.ndarra
     return bg.random_raw(count)
 
 
-# Philox words converted per pass (256 KiB): a tile is turned step-major
-# while it is in cache, so the block never needs a trial-major copy
+# Philox words drawn and converted per pass (256 KiB): a tile is turned
+# step-major while it is in cache, so the block never needs a trial-major
+# copy, and a part never holds more words than one tile (or one trial)
 _TILE_WORDS = 1 << 15
 
 
@@ -88,23 +89,28 @@ def standard_normals(
     is stored step-major: it is the transpose of ``out``, a
     (n_steps, trials) array that is allocated unless given (a column slice
     of a larger block will do), so column n, the noise of channel use n,
-    is contiguous.
+    is contiguous.  A given ``out`` may have fewer rows than ``n_steps``:
+    only those first uses are filled, each with the variates it has at
+    ``n_steps``.  The Philox words are drawn one conversion tile at a
+    time, so only one tile's words are held at once.
     """
     n_trials = trial_hi - trial_lo
     if out is None:
         out = np.empty((n_steps, n_trials))
-    elif out.shape != (n_steps, n_trials):
-        raise ValueError(f"out must have shape {(n_steps, n_trials)}, got {out.shape}")
+    elif out.ndim != 2 or out.shape[0] > n_steps or out.shape[1] != n_trials:
+        raise ValueError(
+            f"out must have shape (uses, {n_trials}) with uses <= {n_steps}, got {out.shape}"
+        )
+    uses = out.shape[0]
     stride = _stride(n_steps)
-    words = raw_stream(master_seed, role, trial_lo * stride, n_trials * stride)
-    words = words.reshape(n_trials, stride)
     tile = max(1, _TILE_WORDS // stride)
     for lo in range(0, n_trials, tile):
         hi = min(lo + tile, n_trials)
+        r = raw_stream(master_seed, role, (trial_lo + lo) * stride, (hi - lo) * stride)
+        r = r.reshape(hi - lo, stride)
         # (r >> 11) + 0.5 scaled by 2^-53 lies strictly inside (0, 1)
-        r = words[lo:hi]
         r >>= np.uint64(11)
-        u = np.array(r[:, :n_steps].T, dtype=np.float64, order="C")
+        u = np.array(r[:, :uses].T, dtype=np.float64, order="C")
         u += 0.5
         u *= 2.0**-53
         ndtri(u, out=out[:, lo:hi])
@@ -132,7 +138,7 @@ class AwgnChannel:
     """
 
     snr_db: float
-    noise: np.ndarray | None = None  # (trials, steps) standard normals
+    noise: np.ndarray | None = None  # (trials, uses) standard normals
 
     @property
     def noise_std(self) -> float:
@@ -156,22 +162,27 @@ class AwgnChannel:
 NOISE_PART_TRIALS = 4096
 
 
-def make_channels(cfg, trial_lo: int, trial_hi: int, parts=None) -> tuple[AwgnChannel, AwgnChannel]:
+def make_channels(
+    cfg, trial_lo: int, trial_hi: int, parts=None, uses: int | None = None
+) -> tuple[AwgnChannel, AwgnChannel]:
     """Forward and feedback channels for trials [trial_lo, trial_hi) of ``cfg``;
     a noiseless one (SNR = +inf) derives no noise.
 
-    A noisy channel's block is filled by parts: calls that each derive the
-    noise of at most ``NOISE_PART_TRIALS`` trials into their own columns.
-    They run here, unless a list ``parts`` is given: then they are appended
-    to it, and the channels are ready once every part has run, in any
-    order and on any thread.
+    A noisy channel's block holds the noise of the first ``uses`` channel
+    uses (default ``cfg.n_total``, every use); each variate is the one it
+    has in the full block.  The block is filled by parts: calls that each
+    derive the noise of at most ``NOISE_PART_TRIALS`` trials into their
+    own columns.  They run here, unless a list ``parts`` is given: then
+    they are appended to it, and the channels are ready once every part
+    has run, in any order and on any thread.
     """
     pending = [] if parts is None else parts
+    uses = cfg.n_total if uses is None else uses
 
     def build(snr_db: float, role: int) -> AwgnChannel:
         if snr_db == np.inf:
             return AwgnChannel(snr_db)
-        block = np.empty((cfg.n_total, trial_hi - trial_lo))
+        block = np.empty((uses, trial_hi - trial_lo))
         for lo in range(trial_lo, trial_hi, NOISE_PART_TRIALS):
             hi = min(lo + NOISE_PART_TRIALS, trial_hi)
             out = block[:, lo - trial_lo:hi - trial_lo]

@@ -90,16 +90,17 @@ def _run_chunk(cfg: SkConfig, lo: int, hi: int, channels) -> dict:
     }
 
 
-def _start_noise(submit, cfg: SkConfig, lo: int, hi: int):
-    """Submit the noise parts of trials [lo, hi); returns a call that
-    finishes them on this thread and returns the channel pair.
+def _start_noise(submit, cfg: SkConfig, lo: int, hi: int, uses: int):
+    """Submit the noise parts of the first ``uses`` channel uses of trials
+    [lo, hi); returns a call that finishes them on this thread and returns
+    the channel pair.
 
     The call runs the parts no pool thread has started, newest first, then
     waits for the rest, so no more threads derive at once than there are
     workers.
     """
     parts = []
-    channels = _channel.make_channels(cfg, lo, hi, parts)
+    channels = _channel.make_channels(cfg, lo, hi, parts, uses)
     futures = [submit(part) for part in parts]
 
     def finish():
@@ -114,15 +115,16 @@ def _start_noise(submit, cfg: SkConfig, lo: int, hi: int):
     return finish
 
 
-def _map_chunks(cfg: SkConfig, trials: int, reduce, stop_at_errors=None, halts=False) -> Counter:
+def _map_chunks(cfg: SkConfig, trials: int, reduce, uses: int, stop_at_errors=None) -> Counter:
     """``reduce(cfg, lo, hi, channels)`` summed over blocks, in block order.
 
     Each ``CHUNK_TRIALS`` chunk runs as two blocks of half a chunk, so the
     block in flight and the next one hold one chunk of noise.  A block's
     reduction runs on this thread; the next block's noise parts are
     submitted before it starts and run on ``workers - 1`` pool threads and
-    on this one.  With ``halts`` no noise is derived and ``channels`` is
-    None.  With ``stop_at_errors`` the stop is decided on the cumulative
+    on this one.  They derive the first ``uses`` channel uses; with
+    ``uses`` 0 no noise is derived and ``channels`` is None.  With
+    ``stop_at_errors`` the stop is decided on the cumulative
     ``bit_errors`` where a block ends on the chunk grid, so the cut point
     does not depend on the worker count and no reduced trial is discarded;
     the noise parts no thread has started are dropped, and those in flight
@@ -139,7 +141,7 @@ def _map_chunks(cfg: SkConfig, trials: int, reduce, stop_at_errors=None, halts=F
         submit = pool.submit if workers > 1 else lambda part: Future()
 
         def noise(lo, hi):
-            return None if halts else _start_noise(submit, cfg, lo, hi)
+            return _start_noise(submit, cfg, lo, hi, uses) if uses else None
 
         channels = noise(*blocks[0])
         for i, (lo, hi) in enumerate(blocks):
@@ -173,7 +175,7 @@ def estimate_ber(cfg: SkConfig, trials: int, stop_at_errors: int | None = None) 
         _check_count("stop_at_errors", stop_at_errors)
     t0 = time.perf_counter()
     halts = _codec.schedule(cfg).halt < cfg.n_total  # every trial fails: no noise, no step
-    totals = _map_chunks(cfg, trials, _run_chunk, stop_at_errors, halts)
+    totals = _map_chunks(cfg, trials, _run_chunk, 0 if halts else cfg.n_total, stop_at_errors)
     n_bits = totals["trials"] * cfg.k
     ci_low, ci_high = wilson_interval(totals["bit_errors"], n_bits)
     return RunRecord(
@@ -192,10 +194,10 @@ def estimate_ber(cfg: SkConfig, trials: int, stop_at_errors: int | None = None) 
 def measure_symbol_power(cfg: SkConfig, trials: int, steps) -> dict[int, tuple[float, float]]:
     """Empirical (mean, std-error) of X_n^2 at the requested steps.
 
-    Each block of trials walks ``codec.block_states`` up to the last
-    requested step, and the sums of the sent X_n^2 and X_n^4 are added in
-    block order.  Failed trials send 0, so from the schedule's halt on the
-    power is 0.
+    Each block of trials derives the noise of uses 0 to the last
+    requested step only and walks ``codec.block_states`` up to that step;
+    the sums of the sent X_n^2 and X_n^4 are added in block order.  Failed
+    trials send 0, so from the schedule's halt on the power is 0.
     """
     _check_count("trials", trials)
     steps = tuple(steps)
@@ -218,7 +220,7 @@ def measure_symbol_power(cfg: SkConfig, trials: int, steps) -> dict[int, tuple[f
                 break
         return sums
 
-    totals = _map_chunks(cfg, trials, power)
+    totals = _map_chunks(cfg, trials, power, last + 1)
     out = {}
     for step in wanted:
         mean = totals[step, 2] / trials

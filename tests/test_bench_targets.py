@@ -9,6 +9,7 @@ would otherwise pass every other test.
 import importlib.util
 import pathlib
 import sys
+from unittest import mock
 
 import pytest
 
@@ -40,3 +41,16 @@ def test_every_trace_target_resolves(target):
 )
 def test_the_micro_benchmarks_find_their_functions(module, name):
     assert callable(getattr(module, name, None))
+
+
+def test_every_noise_word_is_drawn_through_raw_stream_one_tile_at_a_time():
+    # the tracer counts the words of RAW<NOISE from raw_stream's calls
+    # under standard_normals: 4,133 trials at 150 steps make a ragged
+    # last tile, and a worker holds one tile's words, not a part's
+    lo, hi, n_steps = 7, 7 + 4133, 150
+    stride = channel._stride(n_steps)
+    with mock.patch.object(channel, "raw_stream", wraps=channel.raw_stream) as spy:
+        channel.standard_normals(3, channel.ROLE_FORWARD, lo, hi, n_steps)
+    counts = [call.args[3] for call in spy.call_args_list]
+    assert sum(counts) == (hi - lo) * stride
+    assert max(counts) <= max(channel._TILE_WORDS, stride)

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +37,18 @@ def test_make_channels_derives_each_roles_noise():
     assert np.array_equal(feedback.noise, standard_normals(SEED, ROLE_FEEDBACK, 10, 40, 5))
     forward, feedback = make_channels(replace(cfg, feedback_snr_db=math.inf), 10, 40)
     assert forward.noise is not None and feedback.noise is None
+
+
+@pytest.mark.parametrize("uses", [1, 3, 150])
+def test_the_first_uses_of_a_block_hold_the_full_blocks_variates(uses):
+    cfg = SkConfig(k=2, n_total=150, forward_snr_db=3.0, feedback_snr_db=20.0, seed=SEED)
+    full = make_channels(cfg, 10, 500)
+    first = make_channels(cfg, 10, 500, uses=uses)
+    for whole, part in zip(full, first):
+        assert part.noise.shape == (490, uses)
+        assert np.array_equal(part.noise, whole.noise[:, :uses])
+    with pytest.raises(ValueError, match="uses"):
+        standard_normals(SEED, ROLE_FORWARD, 0, 4, 5, out=np.empty((6, 4)))
 
 
 @pytest.mark.parametrize("n_steps", [1, 5, 150])
@@ -101,14 +114,21 @@ def test_trial_noise_independent_of_range_boundaries():
 
 
 @pytest.mark.parametrize("n_steps", [1, 3, 4, 5, 150])
-# [100, 1100) spans several conversion tiles at 150 steps
-@pytest.mark.parametrize("lo, hi", [(0, 37), (37, 100), (100, 1100)])
-def test_step_major_block_matches_a_trial_major_reference(n_steps, lo, hi):
+# [100, 1100) spans several conversion tiles at 150 steps; a tile of one
+# word is below every stride, so each trial is a tile of its own
+@pytest.mark.parametrize("lo, hi, tile_words", [
+    pytest.param(0, 37, None, id="0-37"),
+    pytest.param(37, 100, None, id="37-100"),
+    pytest.param(100, 1100, None, id="100-1100"),
+    pytest.param(5, 12, 1, id="5-12-one-trial-tiles"),
+])
+def test_step_major_block_matches_a_trial_major_reference(n_steps, lo, hi, tile_words):
     stride = 4 * -(-n_steps // 4)
     words = raw_stream(SEED, ROLE_FEEDBACK, lo * stride, (hi - lo) * stride)
     words = words.reshape(hi - lo, stride)[:, :n_steps]
     want = ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
-    got = standard_normals(SEED, ROLE_FEEDBACK, lo, hi, n_steps)
+    with mock.patch.object(channel, "_TILE_WORDS", tile_words or channel._TILE_WORDS):
+        got = standard_normals(SEED, ROLE_FEEDBACK, lo, hi, n_steps)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     # channel use j reads one contiguous column

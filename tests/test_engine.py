@@ -310,11 +310,11 @@ def test_a_stop_drops_noise_a_half_block_ahead_at_most_and_leaves_no_thread(stop
 )
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_cell_holds_one_chunk_of_noise(cfg, trials, stop_at_errors, ran, workers):
-    # one float64 (CHUNK_TRIALS x n_total) array for the forward noise, the
-    # Philox words of one noise part on each worker, and 3 MiB for the
-    # recursion state and the message labels
-    words = channel.NOISE_PART_TRIALS * channel._stride(cfg.n_total) * 8
-    bound = CHUNK_TRIALS * cfg.n_total * 8 + workers * words + 3 * 2**20
+    # one float64 (CHUNK_TRIALS x n_total) array for the forward noise, two
+    # conversion tiles on each worker (a tile's Philox words and their
+    # uniforms), and 2 MiB for the recursion state and the message labels
+    tiles = 2 * channel._TILE_WORDS * 8
+    bound = CHUNK_TRIALS * cfg.n_total * 8 + workers * tiles + 2 * 2**20
     with _threads(workers):
         tracemalloc.start()  # counts numpy's arrays as well as Python objects
         try:
@@ -629,6 +629,21 @@ def test_measure_symbol_power_validates_steps():
     numpy_steps = measure_symbol_power(SkConfig(k=2, n_total=6), 100, np.arange(1, 3))
     assert numpy_steps == measure_symbol_power(SkConfig(k=2, n_total=6), 100, [1, 2])
     assert all(type(step) is int for step in numpy_steps)
+
+
+@pytest.mark.parametrize("steps", [(), (2,), (1, 4, 3)])
+def test_measure_symbol_power_derives_only_the_uses_it_walks(steps):
+    cfg = SkConfig(k=2, n_total=6, feedback_snr_db=20.0, seed=9)  # two noisy roles
+    with mock.patch.object(
+        channel, "standard_normals", wraps=channel.standard_normals
+    ) as spy, mock.patch.object(engine, "CHUNK_TRIALS", 64), _threads(2):
+        measure_symbol_power(cfg, 200, steps)
+    variates = Counter()
+    for call in spy.call_args_list:
+        _, role, lo, hi, _, out = call.args
+        variates[role] += (hi - lo) * out.shape[0]
+    uses = max(steps, default=0) + 1
+    assert variates == {channel.ROLE_FORWARD: 200 * uses, channel.ROLE_FEEDBACK: 200 * uses}
 
 
 @pytest.mark.parametrize("steps", [(), (2,), (1, 4, 3)])
