@@ -6,7 +6,8 @@ role, i, n), independent of how trials are batched or scheduled across
 workers.  Philox provides the keyed counter stream; variates come from
 the inverse normal CDF applied to 53-bit uniforms, so consumption per
 step is fixed.  A block of noise is stored step-major, so each channel
-use reads one contiguous column.
+use reads one contiguous column.  A channel is a noise standard
+deviation and such a block; a noiseless link (SNR +inf) has none.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ ROLE_MESSAGE = 2
 
 
 def snr_db_to_noise_std(snr_db: float) -> float:
-    """Noise standard deviation under the unit-signal-power convention."""
-    if snr_db == np.inf:
-        return 0.0
+    """Noise standard deviation under the unit-signal-power convention;
+    0.0 at +inf."""
     return float(10.0 ** (-snr_db / 20.0))
 
 
@@ -128,31 +128,24 @@ def message_indices(master_seed: int, trial_lo: int, trial_hi: int, k: int) -> n
 class AwgnChannel:
     """One-directional AWGN channel over a block of trials.
 
-    ``transmit(x, step)`` adds column ``step`` of a pre-derived
-    counter-based (trials, steps) noise block to its input, so the noise
-    of each use is a pure function of (seed, role, trial, step) and never
-    of how often the channel was used before.  The block from
-    :func:`standard_normals` is stored step-major, so that column is one
-    contiguous read.  ``snr_db = inf`` is a noiseless passthrough; the
-    codec uses it only forward, and takes noiseless feedback without it.
+    ``transmit(x, step)`` adds ``sigma`` times column ``step`` of a
+    pre-derived counter-based (trials, steps) ``noise`` block to its
+    input, so the noise of each use is a pure function of (seed, role,
+    trial, step) and never of how often the channel was used before.  The
+    block from :func:`standard_normals` is stored step-major, so that
+    column is one contiguous read.  A noiseless link has no channel.
     """
 
-    snr_db: float
-    noise: np.ndarray | None = None  # (trials, uses) standard normals
-
-    @property
-    def noise_std(self) -> float:
-        return snr_db_to_noise_std(self.snr_db)
+    sigma: float
+    noise: np.ndarray  # (trials, uses) standard normals
 
     def transmit(self, x, step: int):
-        """y = x + z, with z the channel's noise at channel use ``step``."""
+        """y = x + sigma * z, with z the channel's noise at channel use ``step``."""
         xa = np.asarray(x, dtype=np.float64)
         if not np.isfinite(xa).all():
             raise ValueError("channel input must be finite")
-        if self.noise is None:
-            return xa
-        y = self.noise_std * self.noise[:, step]
-        y += xa  # addition commutes, so this is xa + noise_std * z bit for bit
+        y = self.sigma * self.noise[:, step]
+        y += xa  # addition commutes, so this is xa + sigma * z bit for bit
         return y
 
 
@@ -164,9 +157,9 @@ NOISE_PART_TRIALS = 4096
 
 def make_channels(
     cfg, trial_lo: int, trial_hi: int, parts=None, uses: int | None = None
-) -> tuple[AwgnChannel, AwgnChannel]:
-    """Forward and feedback channels for trials [trial_lo, trial_hi) of ``cfg``;
-    a noiseless one (SNR = +inf) derives no noise.
+) -> tuple[AwgnChannel | None, AwgnChannel | None]:
+    """Forward and feedback channels for trials [trial_lo, trial_hi) of
+    ``cfg``; None for a noiseless role (SNR = +inf), which derives no noise.
 
     A noisy channel's block holds the noise of the first ``uses`` channel
     uses (default ``cfg.n_total``, every use); each variate is the one it
@@ -179,15 +172,15 @@ def make_channels(
     pending = [] if parts is None else parts
     uses = cfg.n_total if uses is None else uses
 
-    def build(snr_db: float, role: int) -> AwgnChannel:
+    def build(snr_db: float, role: int) -> AwgnChannel | None:
         if snr_db == np.inf:
-            return AwgnChannel(snr_db)
+            return None
         block = np.empty((uses, trial_hi - trial_lo))
         for lo in range(trial_lo, trial_hi, NOISE_PART_TRIALS):
             hi = min(lo + NOISE_PART_TRIALS, trial_hi)
             out = block[:, lo - trial_lo:hi - trial_lo]
             pending.append(functools.partial(standard_normals, cfg.seed, role, lo, hi, cfg.n_total, out))
-        return AwgnChannel(snr_db, block.T)
+        return AwgnChannel(snr_db_to_noise_std(snr_db), block.T)
 
     channels = build(cfg.forward_snr_db, ROLE_FORWARD), build(cfg.feedback_snr_db, ROLE_FEEDBACK)
     if parts is None:

@@ -21,6 +21,8 @@ feedback but accumulate rounding differently, which is exactly what the
 precision experiments measure.  All state arithmetic is routed through
 the configured PrecisionMode; channel noise is drawn at full precision
 and receipt of a channel output rounds it into the state's precision.
+A noiseless link has no channel (None): forward, the receiver gets the
+symbol sent; as feedback, the transmitter's copy is the receiver's.
 
 State fields are arrays over a block of trials; a block of one gives the
 single-trial view.  Trials whose state goes non-finite are flagged
@@ -138,7 +140,7 @@ def sk_init(theta, cfg: SkConfig, channels) -> SkState:
 
     ``theta`` is a scalar amplitude or an array of amplitudes (one per
     trial).  ``channels`` is the (forward, feedback) pair from
-    :func:`skfb.channel.make_channels`.
+    :func:`skfb.channel.make_channels`; either is None when noiseless.
     """
     mode = cfg.precision
     sched = schedule(cfg)
@@ -148,11 +150,11 @@ def sk_init(theta, cfg: SkConfig, channels) -> SkState:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         theta_q = np.atleast_1d(quantize(theta, mode))
         x0 = quantize(sqrt_gamma * theta_q, mode)
-        y0 = quantize(forward.transmit(x0, 0), mode)
+        # a noiseless link (None) is decided here and in sk_step: y is then
+        # the rounded x itself, and the transmitter's copy the receiver's
+        y0 = x0 if forward is None else quantize(forward.transmit(x0, 0), mode)
         theta_hat_rx = quantize(y0 / sqrt_gamma, mode)
-        if feedback.noise is None:
-            # noiseless feedback is decided here and in sk_step: the transmitter
-            # sees the receiver's own output, so its copy is the receiver's
+        if feedback is None:
             y0_fb, theta_hat_tx = y0, theta_hat_rx
         else:
             y0_fb = quantize(feedback.transmit(y0, 0), mode)
@@ -208,10 +210,10 @@ def sk_step(state: SkState, cfg: SkConfig, channels) -> SkState:
         if failed.any():
             x[failed] = 0.0  # x is this step's own array
 
-        y = quantize(forward.transmit(x, n), mode)
+        y = x if forward is None else quantize(forward.transmit(x, n), mode)
         theta_hat_rx = quantize(state.theta_hat_rx - quantize(beta * y, mode), mode)
         failed |= ~np.isfinite(theta_hat_rx)
-        if feedback.noise is None:  # the transmitter's copy is the receiver's
+        if feedback is None:  # the transmitter's copy is the receiver's
             y_fb, theta_hat_tx = y, theta_hat_rx
         else:
             y_fb = quantize(feedback.transmit(y, n), mode)

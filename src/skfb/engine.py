@@ -53,7 +53,7 @@ def wilson_interval(errors: int, n: int) -> tuple[float, float]:
 
 
 def default_workers() -> int:
-    """Worker cap: SKFB_THREADS if set, else the machine's CPU count."""
+    """Worker cap: SKFB_THREADS if set, else the CPUs this process may run on."""
     env = os.environ.get("SKFB_THREADS")
     if env:
         try:
@@ -63,6 +63,8 @@ def default_workers() -> int:
         if workers < 1:
             raise ValueError(f"SKFB_THREADS must be an integer >= 1, got {env!r}")
         return workers
+    if hasattr(os, "sched_getaffinity"):  # honours a pinned CPU set
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from skfb.channel import (
     AwgnChannel,
     make_channels,
     message_indices,
+    snr_db_to_noise_std,
     standard_normals,
 )
 from skfb.precision import PrecisionMode
 from skfb.codec import (
     adjacent_bitflip_total,
     analytic_ber_oracle,
+    block_states,
     decode_indices,
     optimize_gamma,
     run_block,
@@ -88,12 +91,11 @@ def reference_sk(theta, z_fwd, z_fb, cfg):
 
 
 def _injected_channels(cfg, z_fwd, z_fb):
-    fwd = AwgnChannel(snr_db=cfg.forward_snr_db, noise=np.atleast_2d(z_fwd))
+    fwd = AwgnChannel(sigma=snr_db_to_noise_std(cfg.forward_snr_db), noise=np.atleast_2d(z_fwd))
     if cfg.feedback_snr_db == math.inf:
-        fb = AwgnChannel(snr_db=math.inf, noise=None)
-    else:
-        fb = AwgnChannel(snr_db=cfg.feedback_snr_db, noise=np.atleast_2d(z_fb))
-    return fwd, fb
+        return fwd, None
+    return fwd, AwgnChannel(sigma=snr_db_to_noise_std(cfg.feedback_snr_db),
+                            noise=np.atleast_2d(z_fb))
 
 
 @pytest.mark.parametrize("variant", list(SkVariant))
@@ -133,7 +135,7 @@ def test_init_state_examples():
     channels = make_channels(cfg, 0, 8)
     theta = index_to_value(np.arange(8) % 4, 2)
     state = sk_init(theta, cfg, channels)
-    y0 = theta + channels[0].noise_std * channels[0].noise[:, 0]
+    y0 = theta + channels[0].sigma * channels[0].noise[:, 0]
     assert np.allclose(state.theta_hat_rx, y0, rtol=0, atol=0)
     assert state.step == 0
     # gamma=2 at 0 dB: tracked variance is 0.5
@@ -203,8 +205,9 @@ def test_aliased_copy_matches_zero_noise_feedback(variant, bits):
     cfg = SkConfig(variant=variant, k=6, n_total=30, precision=PrecisionMode(bits), seed=bits)
     n_trials = 2000
     forward, noiseless = make_channels(cfg, 0, n_trials)
-    assert noiseless.noise is None
-    zero_noise = AwgnChannel(snr_db=30.0, noise=np.zeros((n_trials, cfg.n_total)))
+    assert noiseless is None
+    zero_noise = AwgnChannel(sigma=snr_db_to_noise_std(30.0),
+                             noise=np.zeros((n_trials, cfg.n_total)))
     theta = index_to_value(message_indices(cfg.seed, 0, n_trials, cfg.k), cfg.k)
 
     def same(a, b):
@@ -226,26 +229,62 @@ def test_aliased_copy_matches_zero_noise_feedback(variant, bits):
         assert np.array_equal(a, b)
 
 
-class _UnusableNoiselessFeedback:
-    """A noiseless feedback channel whose transmit must not be called."""
-
-    noise = None
-
-    def transmit(self, x, step):
-        raise AssertionError(f"noiseless feedback went through transmit at use {step}")
-
-
 @pytest.mark.parametrize("variant", list(SkVariant))
 @pytest.mark.parametrize("bits", [8, 64])
 def test_noiseless_feedback_does_not_pass_through_the_feedback_channel(variant, bits):
-    # k=6, n=30 at 8 bits halts at use 11, so failed trials are covered too
+    # noiseless feedback has no channel: every use transmits through the
+    # forward one alone, and the transmitter's copy is the receiver's own
+    # estimate; k=6, n=30 at 8 bits halts at use 11, so failed trials too
     cfg = SkConfig(variant=variant, k=6, n_total=30, precision=PrecisionMode(bits), seed=bits)
     n_trials = 1000
     forward, feedback = make_channels(cfg, 0, n_trials)
+    assert feedback is None
     theta = index_to_value(message_indices(cfg.seed, 0, n_trials, cfg.k), cfg.k)
-    expected = run_block(cfg, theta, (forward, feedback))
-    got = run_block(cfg, theta, (forward, _UnusableNoiselessFeedback()))
-    for a, b in zip(got, expected):
+    transmit, senders = AwgnChannel.transmit, []
+
+    def spy(channel, x, step):
+        senders.append(channel)
+        return transmit(channel, x, step)
+
+    with mock.patch.object(AwgnChannel, "transmit", spy):
+        for state in block_states(cfg, theta, (forward, None)):
+            assert state.theta_hat_tx is state.theta_hat_rx, state.step
+    assert len(senders) == cfg.n_total and all(ch is forward for ch in senders)
+
+
+@pytest.mark.parametrize("forward_snr_db, feedback_snr_db", [
+    (0.0, math.inf), (0.0, 20.0), (math.inf, 20.0), (math.inf, math.inf),
+])
+@pytest.mark.parametrize("variant", list(SkVariant))
+@pytest.mark.parametrize("bits", [8, 64])
+def test_transmit_runs_once_per_use_per_noisy_role(bits, variant, forward_snr_db,
+                                                   feedback_snr_db):
+    # a noiseless link has no channel, so nothing of it can be transmitted
+    # through; k=6, n=30 at 8 bits halts at use 11 with a noisy forward
+    # channel, so failed trials are covered too
+    cfg = SkConfig(variant=variant, k=6, n_total=30, forward_snr_db=forward_snr_db,
+                   feedback_snr_db=feedback_snr_db, precision=PrecisionMode(bits), seed=bits)
+    n_trials = 1000
+    channels = make_channels(cfg, 0, n_trials)
+    assert [ch is None for ch in channels] == [forward_snr_db == math.inf,
+                                                feedback_snr_db == math.inf]
+    theta = index_to_value(message_indices(cfg.seed, 0, n_trials, cfg.k), cfg.k)
+    transmit, inputs = AwgnChannel.transmit, []
+
+    def spy(channel, x, step):
+        inputs.append((step, bool(np.isfinite(x).all())))
+        return transmit(channel, x, step)
+
+    with mock.patch.object(AwgnChannel, "transmit", spy):
+        expected = run_block(cfg, theta, channels)
+    noisy = sum(ch is not None for ch in channels)
+    assert [step for step, _ in inputs] == [n for n in range(cfg.n_total) for _ in range(noisy)]
+    assert all(finite for _, finite in inputs)
+    # every symbol sent is finite, also where no forward channel checks it
+    for state in block_states(cfg, theta, channels):
+        assert np.isfinite(state.x).all(), state.step
+    assert state.failed.any() == (bits == 8 and forward_snr_db == 0.0)
+    for a, b in zip(decode_indices(state, cfg), expected):
         assert np.array_equal(a, b)
 
 
@@ -323,7 +362,8 @@ def test_a_trial_failing_mid_block_sends_zero_and_leaves_the_others(bits, varian
     theta = index_to_value(message_indices(cfg.seed, 0, n_trials, cfg.k), cfg.k)
 
     def run(inject):
-        forward = _RecordingChannel(AwgnChannel(snr_db=cfg.forward_snr_db, noise=noise))
+        forward = _RecordingChannel(AwgnChannel(sigma=snr_db_to_noise_std(cfg.forward_snr_db),
+                                                noise=noise))
         channels = (forward, feedback)
         state = sk_init(theta, cfg, channels)
         states = [state]

@@ -449,6 +449,19 @@ def test_skfb_threads_must_be_a_positive_integer(value):
             engine.default_workers()
 
 
+@pytest.mark.parametrize("affinity, want", [({0}, 1), (None, 8)], ids=["pinned", "no-affinity"])
+def test_default_workers_counts_the_cpus_this_process_may_run_on(monkeypatch, affinity, want):
+    # a process pinned to one CPU of eight gets one worker, not eight; a
+    # platform without affinity masks falls back to the CPU count
+    monkeypatch.delenv("SKFB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    assert engine.default_workers() == want
+
+
 def test_wilson_interval_basics():
     lo, hi = wilson_interval(0, 1000)
     assert lo == 0.0

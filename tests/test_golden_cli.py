@@ -57,6 +57,16 @@ CALLS = {
         "--variant", "error-recursion", "--snr-db", "-3", "--precision", "8",
         "--trials", "2000", "--seed", "18",
     ],
+    "sweep_precision_noiseless_forward": [  # no forward noise, noisy feedback
+        "sweep-precision", "--snr-db", "inf", "--feedback-snr-db", "20",
+        "--variant", "error-recursion", "--precisions", "8,16,32", "--k-min", "2",
+        "--k-max", "8", "--k-step", "3", "--reference", REFERENCE, "--trials", "2000",
+        "--seed", "19",
+    ],
+    "sweep_feedback_noiseless_forward": [
+        "sweep-feedback", "--snr-db", "inf", "--feedback-snr-list", "10,inf", "--k-min", "2",
+        "--k-max", "6", "--k-step", "2", "--precision", "8", "--trials", "2000", "--seed", "20",
+    ],
     "oracle": ["oracle", "--k", "3", "--n", "9", "--snr-db", "1.5", "--bit-mapping", "gray"],
     "optimize_gamma": [
         "optimize-gamma", "--k", "10", "--n", "30", "--gamma-grid", "0.5,1,1.5,2,2.5",
