@@ -48,13 +48,10 @@ def snr_db_error(snr_db: float) -> str | None:
 
 
 @functools.lru_cache(maxsize=256)
-def _role_key(master_seed: int, role: int) -> np.ndarray:
+def _role_seed(master_seed: int, role: int) -> np.random.SeedSequence:
     # a pure function of (seed, role), built once per pair rather than once
-    # per noise part; read-only because every caller shares the array
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(role),))
-    key = ss.generate_state(2, np.uint64)
-    key.flags.writeable = False
-    return key
+    # per noise part; a given sequence spares Philox its draw of OS entropy
+    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(role),))
 
 
 def raw_stream(master_seed: int, role: int, start: int, count: int) -> np.ndarray:
@@ -64,7 +61,7 @@ def raw_stream(master_seed: int, role: int, start: int, count: int) -> np.ndarra
     """
     if start % 4:
         raise ValueError("stream offsets must be 4-word aligned")
-    bg = np.random.Philox(key=_role_key(master_seed, role), counter=start // 4)
+    bg = np.random.Philox(seed=_role_seed(master_seed, role), counter=start // 4)
     return bg.random_raw(count)
 
 

@@ -133,7 +133,6 @@ def _map_chunks(cfg: SkConfig, trials: int, reduce, uses: int, stop_at_errors=No
     finish before this returns.
     """
     half = CHUNK_TRIALS // 2
-    blocks = [(lo, min(lo + half, trials)) for lo in range(0, trials, half)]
     workers = default_workers()
     totals = Counter()
     pool = ThreadPoolExecutor(max_workers=max(1, workers - 1))
@@ -142,12 +141,13 @@ def _map_chunks(cfg: SkConfig, trials: int, reduce, uses: int, stop_at_errors=No
         # thread runs every part and no thread starts
         submit = pool.submit if workers > 1 else lambda part: Future()
 
-        def noise(lo, hi):
-            return _start_noise(submit, cfg, lo, hi, uses) if uses else None
+        def noise(lo):  # of the block that starts at lo
+            return _start_noise(submit, cfg, lo, min(lo + half, trials), uses) if uses else None
 
-        channels = noise(*blocks[0])
-        for i, (lo, hi) in enumerate(blocks):
-            ahead = noise(*blocks[i + 1]) if i + 1 < len(blocks) else None
+        channels = noise(0)
+        for lo in range(0, trials, half):
+            hi = min(lo + half, trials)
+            ahead = noise(hi) if hi < trials else None
             totals.update(reduce(cfg, lo, hi, channels))
             if stop_at_errors is not None and hi % CHUNK_TRIALS == 0 \
                     and totals["bit_errors"] >= stop_at_errors:

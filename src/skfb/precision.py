@@ -73,10 +73,6 @@ class PrecisionMode:
         # top stored exponent is reserved for inf/nan
         return float((2.0 - 2.0 ** -self.mantissa_bits) * 2.0 ** self.bias)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.width == 64
-
 
 def quantize(x, mode: PrecisionMode):
     """Round to the nearest representable value of ``mode``.
@@ -88,7 +84,7 @@ def quantize(x, mode: PrecisionMode):
     at 64 bits a float64 ndarray comes back as the same object.
     """
     xa = np.asarray(x, dtype=np.float64)
-    if mode.is_identity:
+    if mode.width == 64:
         return xa
 
     if mode.width == 32:
@@ -98,22 +94,12 @@ def quantize(x, mode: PrecisionMode):
             q = xa.astype(np.float32).astype(np.float64)
         over = np.isinf(q)
     else:
-        # round inside frexp's two output buffers (given, so a 0-d input
-        # gets arrays too): |x| = q * 2^e with q in [0.5, 1)
-        q = np.empty_like(xa)
-        e = np.empty(xa.shape, dtype=np.intc)
+        # exponent of the ulp: normals scale with the value, subnormals
+        # share the fixed grid of the smallest normal binade; a finite input
+        # near DBL_MAX rounds to inf, and asarray keeps a 0-d input 0-d
         with np.errstate(invalid="ignore", over="ignore"):
-            np.frexp(xa, q, e)
-            # exponent of the ulp: normals scale with the value, subnormals
-            # share the fixed grid of the smallest normal binade
-            e -= 1
-            np.maximum(e, mode.min_normal_exp, out=e)
-            e -= mode.mantissa_bits
-            np.negative(e, out=e)
-            np.ldexp(xa, e, out=q)
-            np.rint(q, out=q)
-            np.negative(e, out=e)
-            np.ldexp(q, e, out=q)  # a finite input near DBL_MAX rounds to inf
+            e = np.maximum(np.frexp(xa)[1] - 1, mode.min_normal_exp) - mode.mantissa_bits
+            q = np.asarray(np.ldexp(np.rint(np.ldexp(xa, -e)), e))
         over = np.abs(q) > mode.max_finite
     # only the input tells finite overflow, which saturates, from infinity
     if over.any():

@@ -14,6 +14,9 @@ from unittest import mock
 import pytest
 
 from skfb import channel, precision
+from skfb.core import SkConfig
+from skfb.engine import estimate_ber
+from skfb.precision import PrecisionMode
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -54,3 +57,23 @@ def test_every_noise_word_is_drawn_through_raw_stream_one_tile_at_a_time():
     counts = [call.args[3] for call in spy.call_args_list]
     assert sum(counts) == (hi - lo) * stride
     assert max(counts) <= max(channel._TILE_WORDS, stride)
+
+
+def test_every_probe_runs_under_the_tracer():
+    # a probe that reads a renamed attribute loses its counts without
+    # failing the run; small cells at every width, one with a noisy
+    # feedback link, reach every traced function
+    cells = [SkConfig(k=2, n_total=6, precision=PrecisionMode(width), seed=width)
+             for width in precision.WIDTHS]
+    cells.append(SkConfig(k=2, n_total=6, feedback_snr_db=20.0, seed=1))
+    with _TRACING.Tracer() as tracer:
+        for cfg in cells:
+            estimate_ber(cfg, 100)
+    spans = [span for thread in tracer.take() for span in thread]
+    assert tracer.probe_errors == 0
+    assert tracer.missing == {}
+    probed = {t.span for t in _TRACING.TARGETS if t.probe is not None}
+    assert probed <= {name for name, *_ in spans}
+    assert all(counts is not None for name, *_, counts in spans if name in probed)
+    tags = {counts["_tag"] for name, *_, counts in spans if name == _TRACING.QUANTIZE}
+    assert tags == {f"w{width}" for width in precision.WIDTHS}

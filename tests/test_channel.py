@@ -163,14 +163,13 @@ def test_transmit_consumes_steps_in_order():
 
 
 @pytest.mark.parametrize("seed, role", [(SEED, ROLE_FORWARD), (2**64 - 1, ROLE_FEEDBACK), (0, 2)])
-def test_cached_role_key_equals_a_fresh_key_and_refuses_writes(seed, role):
-    fresh = np.random.SeedSequence(entropy=seed, spawn_key=(role,)).generate_state(2, np.uint64)
-    key = channel._role_key(seed, role)
-    assert channel._role_key(seed, role) is key  # built once per (seed, role)
-    assert key.dtype == np.uint64 and np.array_equal(key, fresh)
-    with pytest.raises(ValueError, match="read-only"):
-        key[0] = 0
-    assert np.array_equal(channel._role_key(seed, role), fresh)
+def test_the_cached_role_seed_gives_the_stream_of_a_fresh_key(seed, role):
+    ss = channel._role_seed(seed, role)
+    assert channel._role_seed(seed, role) is ss  # built once per (seed, role)
+    key = np.random.SeedSequence(entropy=seed, spawn_key=(role,)).generate_state(2, np.uint64)
+    for counter in (0, 37, 2**62):
+        want = np.random.Philox(key=key, counter=counter).random_raw(1027)
+        assert np.array_equal(raw_stream(seed, role, 4 * counter, 1027), want)
 
 
 def test_raw_stream_requires_alignment():

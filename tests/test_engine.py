@@ -326,6 +326,23 @@ def test_a_cell_holds_one_chunk_of_noise(cfg, trials, stop_at_errors, ran, worke
     assert peak <= bound, f"{peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
 
+def test_a_stopping_cells_memory_does_not_grow_with_its_trial_budget():
+    # the cell stops after its first chunk at any budget, so a budget of
+    # 10^9 trials must cost what a budget of two chunks does
+    cfg = SkConfig(k=4, n_total=4, forward_snr_db=-10.0, seed=1)
+    peaks = []
+    with _threads(1):
+        for trials in (2 * CHUNK_TRIALS, 10**9):
+            tracemalloc.start()
+            try:
+                row = estimate_ber(cfg, trials, stop_at_errors=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert row.trials == CHUNK_TRIALS
+    assert peaks[1] - peaks[0] < 2**20, f"{(peaks[1] - peaks[0]) / 2**20:.1f} MiB more"
+
+
 def test_no_more_threads_than_workers_derive_noise_or_simulate_at_once():
     depth, peak, lock = Counter(), [0], threading.Lock()
 
