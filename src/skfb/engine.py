@@ -2,7 +2,7 @@
 
 Noise and messages for trial ``i`` are pure functions of (config seed,
 i).  One block mapper, :func:`_map_chunks`, runs each per-trial reduction
-(BER counts, symbol power) over contiguous blocks of half a
+(BER counts, symbol power) over contiguous blocks of at most half a
 ``CHUNK_TRIALS`` chunk and sums the results in block order.  A block's
 recursion is many short numpy calls that hold the GIL, so it runs once,
 on the calling thread; its noise, which releases the GIL, is derived in
@@ -35,6 +35,8 @@ from .precision import PrecisionMode
 from .records import BestKRecord, PhaseRecord, ReferenceTable, RunRecord, config_columns
 
 CHUNK_TRIALS = 1 << 15  # fixed so results never depend on worker layout
+# noise variates per noisy channel a block may hold (16 MiB of float64)
+BLOCK_VARIATES = 1 << 21
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -120,19 +122,24 @@ def _start_noise(submit, cfg: SkConfig, lo: int, hi: int, uses: int):
 def _map_chunks(cfg: SkConfig, trials: int, reduce, uses: int, stop_at_errors=None) -> Counter:
     """``reduce(cfg, lo, hi, channels)`` summed over blocks, in block order.
 
-    Each ``CHUNK_TRIALS`` chunk runs as two blocks of half a chunk, so the
-    block in flight and the next one hold one chunk of noise.  A block's
-    reduction runs on this thread; the next block's noise parts are
-    submitted before it starts and run on ``workers - 1`` pool threads and
-    on this one.  They derive the first ``uses`` channel uses; with
-    ``uses`` 0 no noise is derived and ``channels`` is None.  With
-    ``stop_at_errors`` the stop is decided on the cumulative
-    ``bit_errors`` where a block ends on the chunk grid, so the cut point
-    does not depend on the worker count and no reduced trial is discarded;
-    the noise parts no thread has started are dropped, and those in flight
-    finish before this returns.
+    A block is half a ``CHUNK_TRIALS`` chunk, halved while it would hold
+    more than ``BLOCK_VARIATES`` variates (``uses`` per trial) per noisy
+    channel but never below one ``channel.NOISE_PART_TRIALS`` part, so
+    blocks tile the chunk grid, and the block in flight and the next one
+    hold at most twice the budget, or two parts past
+    ``BLOCK_VARIATES / NOISE_PART_TRIALS`` uses.  A block's reduction
+    runs on this thread; the next block's noise parts are submitted before
+    it starts and run on ``workers - 1`` pool threads and on this one.
+    They derive the first ``uses`` channel uses; with ``uses`` 0 no noise
+    is derived and ``channels`` is None.  With ``stop_at_errors`` the stop
+    is decided on the cumulative ``bit_errors`` where a block ends on the
+    chunk grid, so the cut point does not depend on the worker count and
+    no reduced trial is discarded; the noise parts no thread has started
+    are dropped, and those in flight finish before this returns.
     """
-    half = CHUNK_TRIALS // 2
+    block = CHUNK_TRIALS // 2
+    while block * uses > BLOCK_VARIATES and block // 2 >= _channel.NOISE_PART_TRIALS:
+        block //= 2
     workers = default_workers()
     totals = Counter()
     pool = ThreadPoolExecutor(max_workers=max(1, workers - 1))
@@ -142,11 +149,11 @@ def _map_chunks(cfg: SkConfig, trials: int, reduce, uses: int, stop_at_errors=No
         submit = pool.submit if workers > 1 else lambda part: Future()
 
         def noise(lo):  # of the block that starts at lo
-            return _start_noise(submit, cfg, lo, min(lo + half, trials), uses) if uses else None
+            return _start_noise(submit, cfg, lo, min(lo + block, trials), uses) if uses else None
 
         channels = noise(0)
-        for lo in range(0, trials, half):
-            hi = min(lo + half, trials)
+        for lo in range(0, trials, block):
+            hi = min(lo + block, trials)
             ahead = noise(hi) if hi < trials else None
             totals.update(reduce(cfg, lo, hi, channels))
             if stop_at_errors is not None and hi % CHUNK_TRIALS == 0 \
@@ -198,8 +205,10 @@ def measure_symbol_power(cfg: SkConfig, trials: int, steps) -> dict[int, tuple[f
 
     Each block of trials derives the noise of uses 0 to the last
     requested step only and walks ``codec.block_states`` up to that step;
-    the sums of the sent X_n^2 and X_n^4 are added in block order.  Failed
-    trials send 0, so from the schedule's halt on the power is 0.
+    the sums of the sent X_n^2 and X_n^4 are added in block order.  Blocks
+    are sized by the uses walked: a walk past use 128 runs smaller blocks,
+    so its float sums split at other trials.  Failed trials send 0, so
+    from the schedule's halt on the power is 0.
     """
     _check_count("trials", trials)
     steps = tuple(steps)

@@ -251,6 +251,39 @@ def test_rows_do_not_depend_on_the_worker_count(trials, stop_at_errors):
         assert rows[0]["trials"] < trials and rows[0]["trials"] % 64 == 0
 
 
+@pytest.mark.parametrize(
+    "cfg, trials, stop_at_errors",
+    [
+        (replace(_STOPPING, feedback_snr_db=10.0), 64 * 3 + 5, None),
+        (_STOPPING, 64 * 20, 150),
+        (_HALTING[0], 300, None),
+    ],
+    ids=["noisy-feedback", "stops", "halting"],
+)
+def test_rows_do_not_depend_on_the_block_budget(cfg, trials, stop_at_errors):
+    # at n_total 6 a 32-trial block holds 192 variates per noisy channel:
+    # a budget of 100 halves it to 16 trials, and a budget of 1 to one
+    # 8-trial noise part; a halting cell derives no noise and keeps 32
+    halts = schedule(cfg).halt < cfg.n_total
+    with mock.patch.object(engine, "CHUNK_TRIALS", 64), \
+            mock.patch.object(channel, "NOISE_PART_TRIALS", 8):
+        with _threads(1):
+            want = _without_wall_time([estimate_ber(cfg, trials, stop_at_errors)])
+        ran = want[0]["trials"]
+        assert ran == trials if stop_at_errors is None else ran < trials
+        for budget, noisy_block in ((100, 16), (1, 8)):
+            block = 32 if halts else noisy_block
+            for workers in (1, 2):
+                calls, patch = _recorded_chunks()
+                with patch, mock.patch.object(engine, "BLOCK_VARIATES", budget), \
+                        _threads(workers):
+                    got = _without_wall_time([estimate_ber(cfg, trials, stop_at_errors)])
+                assert got == want, (budget, workers)
+                assert [(lo, hi) for lo, hi, _ in calls] == [
+                    (lo, min(lo + block, ran)) for lo in range(0, ran, block)
+                ]
+
+
 @pytest.mark.parametrize("stop_at_errors", [None, 10**9], ids=["whole", "never-stops"])
 @pytest.mark.parametrize(
     "cfg", [_HALTING[0], _HALTING[3], _HEALTHY], ids=["w8", "n1300", "healthy"]
@@ -305,16 +338,21 @@ def test_a_stop_drops_noise_a_half_block_ahead_at_most_and_leaves_no_thread(stop
     [
         (SkConfig(k=50, n_total=150, seed=3), 100_000, None, 100_000),
         (SkConfig(k=2, n_total=60, forward_snr_db=-10.0, seed=3), 200_000, 1500, 3 * CHUNK_TRIALS),
+        (SkConfig(k=2, n_total=600, seed=3), CHUNK_TRIALS, None, CHUNK_TRIALS),
     ],
-    ids=["whole", "stops-after-3-chunks"],
+    ids=["whole", "stops-after-3-chunks", "n600"],
 )
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_cell_holds_one_chunk_of_noise(cfg, trials, stop_at_errors, ran, workers):
-    # one float64 (CHUNK_TRIALS x n_total) array for the forward noise, two
-    # conversion tiles on each worker (a tile's Philox words and their
-    # uniforms), and 2 MiB for the recursion state and the message labels
+def test_a_cell_holds_two_budgeted_blocks_of_noise(cfg, trials, stop_at_errors, ran, workers):
+    # the block in flight and the next one, each one float64 forward-noise
+    # array of at most BLOCK_VARIATES variates, or of one noise part when a
+    # part's trials times n_total exceed that; two conversion tiles on each
+    # worker (a tile's Philox words and their uniforms); and 2 MiB for the
+    # recursion state and the message labels
+    assert schedule(cfg).halt == cfg.n_total  # so the noise is derived
+    block_bytes = max(engine.BLOCK_VARIATES, channel.NOISE_PART_TRIALS * cfg.n_total) * 8
     tiles = 2 * channel._TILE_WORDS * 8
-    bound = CHUNK_TRIALS * cfg.n_total * 8 + workers * tiles + 2 * 2**20
+    bound = 2 * block_bytes + workers * tiles + 2 * 2**20
     with _threads(workers):
         tracemalloc.start()  # counts numpy's arrays as well as Python objects
         try:
