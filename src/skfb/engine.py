@@ -124,10 +124,11 @@ def _map_chunks(cfg: SkConfig, trials: int, reduce, uses: int, stop_at_errors=No
 
     A block is half a ``CHUNK_TRIALS`` chunk, halved while it would hold
     more than ``BLOCK_VARIATES`` variates (``uses`` per trial) per noisy
-    channel but never below one ``channel.NOISE_PART_TRIALS`` part, so
-    blocks tile the chunk grid, and the block in flight and the next one
-    hold at most twice the budget, or two parts past
-    ``BLOCK_VARIATES / NOISE_PART_TRIALS`` uses.  A block's reduction
+    channel but never below two ``channel.NOISE_PART_TRIALS`` parts, so
+    blocks tile the chunk grid and two workers can derive a block's noise
+    at once.  The block in flight and the next one hold at most
+    twice the budget, or four parts past
+    ``BLOCK_VARIATES / (2 * NOISE_PART_TRIALS)`` uses.  A block's reduction
     runs on this thread; the next block's noise parts are submitted before
     it starts and run on ``workers - 1`` pool threads and on this one.
     They derive the first ``uses`` channel uses; with ``uses`` 0 no noise
@@ -138,7 +139,7 @@ def _map_chunks(cfg: SkConfig, trials: int, reduce, uses: int, stop_at_errors=No
     are dropped, and those in flight finish before this returns.
     """
     block = CHUNK_TRIALS // 2
-    while block * uses > BLOCK_VARIATES and block // 2 >= _channel.NOISE_PART_TRIALS:
+    while block * uses > BLOCK_VARIATES and block // 2 >= 2 * _channel.NOISE_PART_TRIALS:
         block //= 2
     workers = default_workers()
     totals = Counter()

@@ -262,11 +262,11 @@ def test_rows_do_not_depend_on_the_worker_count(trials, stop_at_errors):
 )
 def test_rows_do_not_depend_on_the_block_budget(cfg, trials, stop_at_errors):
     # at n_total 6 a 32-trial block holds 192 variates per noisy channel:
-    # a budget of 100 halves it to 16 trials, and a budget of 1 to one
-    # 8-trial noise part; a halting cell derives no noise and keeps 32
+    # a budget of 100 halves it to 16 trials, and a budget of 1 to two
+    # 4-trial noise parts; a halting cell derives no noise and keeps 32
     halts = schedule(cfg).halt < cfg.n_total
     with mock.patch.object(engine, "CHUNK_TRIALS", 64), \
-            mock.patch.object(channel, "NOISE_PART_TRIALS", 8):
+            mock.patch.object(channel, "NOISE_PART_TRIALS", 4):
         with _threads(1):
             want = _without_wall_time([estimate_ber(cfg, trials, stop_at_errors)])
         ran = want[0]["trials"]
@@ -334,25 +334,26 @@ def test_a_stop_drops_noise_a_half_block_ahead_at_most_and_leaves_no_thread(stop
 
 
 @pytest.mark.parametrize(
-    "cfg, trials, stop_at_errors, ran",
+    "cfg, trials, stop_at_errors, ran, block",
     [
-        (SkConfig(k=50, n_total=150, seed=3), 100_000, None, 100_000),
-        (SkConfig(k=2, n_total=60, forward_snr_db=-10.0, seed=3), 200_000, 1500, 3 * CHUNK_TRIALS),
-        (SkConfig(k=2, n_total=600, seed=3), CHUNK_TRIALS, None, CHUNK_TRIALS),
+        (SkConfig(k=50, n_total=150, seed=3), 100_000, None, 100_000, 8192),
+        (SkConfig(k=2, n_total=60, forward_snr_db=-10.0, seed=3), 200_000, 1500,
+         3 * CHUNK_TRIALS, 16384),
+        (SkConfig(k=2, n_total=600, seed=3), CHUNK_TRIALS, None, CHUNK_TRIALS, 8192),
     ],
     ids=["whole", "stops-after-3-chunks", "n600"],
 )
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_cell_holds_two_budgeted_blocks_of_noise(cfg, trials, stop_at_errors, ran, workers):
+def test_a_cell_holds_two_budgeted_blocks_of_noise(cfg, trials, stop_at_errors, ran, block,
+                                                   workers):
     # the block in flight and the next one, each one float64 forward-noise
-    # array of at most BLOCK_VARIATES variates, or of one noise part when a
-    # part's trials times n_total exceed that; two conversion tiles on each
-    # worker (a tile's Philox words and their uniforms); and 2 MiB for the
-    # recursion state and the message labels
+    # array of block x n_total: half a chunk up to 128 uses, halved past
+    # the 16 MiB budget down to two noise parts; two conversion tiles on
+    # each worker (a tile's Philox words and their uniforms); and 2 MiB
+    # for the recursion state and the message labels
     assert schedule(cfg).halt == cfg.n_total  # so the noise is derived
-    block_bytes = max(engine.BLOCK_VARIATES, channel.NOISE_PART_TRIALS * cfg.n_total) * 8
     tiles = 2 * channel._TILE_WORDS * 8
-    bound = 2 * block_bytes + workers * tiles + 2 * 2**20
+    bound = 2 * block * cfg.n_total * 8 + workers * tiles + 2 * 2**20
     with _threads(workers):
         tracemalloc.start()  # counts numpy's arrays as well as Python objects
         try:
