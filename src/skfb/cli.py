@@ -10,7 +10,6 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import re
 import sys
@@ -19,9 +18,10 @@ from dataclasses import fields
 from . import __version__
 from .channel import snr_db_error
 from .codec import analytic_ber_oracle, optimize_gamma, schedule
-from .core import BitMapping, SkConfig, SkVariant
-from .engine import estimate_ber, sweep_block_length, sweep_feedback_snr, sweep_precision_grid
-from .precision import WIDTHS, PrecisionMode
+from .core import BitMapping, SkConfig, SkVariant, seed_error
+from .engine import (count_error, estimate_ber, rate_error, sweep_block_length,
+                     sweep_feedback_snr, sweep_precision_grid)
+from .precision import WIDTHS, PrecisionMode, width_error
 from .records import (
     OracleRecord,
     RunRecord,
@@ -35,71 +35,34 @@ DEFAULT_RATE = 1.0 / 3.0
 DEFAULT_TRIALS = 100_000
 
 
-def _read(kind, text: str):
-    """``kind(text)``; text it cannot read is a usage error naming it (not
-    the type function, as argparse would)."""
-    try:
-        return kind(text)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+def _reader(kind, rule=None, name=""):
+    """An argparse type: ``kind(text)``, refused with a usage error if
+    ``kind`` cannot read it (naming the text, not the type function, as
+    argparse would) or if ``rule`` gives a reason."""
+
+    def read(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+        if rule and (why := rule(value)):
+            raise argparse.ArgumentTypeError(f"{name} {why}, got {value}")
+        return value
+
+    return read
 
 
-_parse_int = functools.partial(_read, int)
-_parse_float = functools.partial(_read, float)
+def _list_of(read):
+    """An argparse type for comma-separated entries, each read by ``read``
+    as its single-value flag reads it; blank entries are skipped."""
+    return lambda text: [read(part) for part in text.split(",") if part.strip()]
 
 
-def _parse_snr(text: str) -> float:
-    value = _read(float, text)
-    if why := snr_db_error(value):
-        raise argparse.ArgumentTypeError(f"SNR {why}, got {text!r}")
-    return value
-
-
-def _parse_u64(text: str) -> int:
-    value = _read(int, text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit an unsigned 64-bit integer")
-    return value
-
-
-def _parse_count(text: str) -> int:
-    value = _read(int, text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _parse_rate(text: str) -> float:
-    value = _read(float, text)
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"rate must be in (0, 1], got {text!r}")
-    return value
-
-
-def _parse_precision(text: str) -> int:
-    value = _read(int, text)
-    if value not in WIDTHS:
-        widths = ", ".join(map(str, WIDTHS))
-        raise argparse.ArgumentTypeError(f"width must be one of {widths}, got {value}")
-    return value
-
-
-def _entries(text: str) -> list[str]:
-    return [part for part in text.split(",") if part.strip()]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [_read(float, part) for part in _entries(text)]
-
-
-# each entry is checked as its single-value flag checks it
-def _parse_snr_list(text: str) -> list[float]:
-    return [_parse_snr(part) for part in _entries(text)]
-
-
-def _parse_precision_list(text: str) -> list[int]:
-    return [_parse_precision(part) for part in _entries(text)]
+_int, _float = _reader(int), _reader(float)
+_count = _reader(int, count_error, "count")
+_snr = _reader(float, snr_db_error, "SNR")
+_width = _reader(int, width_error, "width")
 
 
 # argparse takes only plain negative numbers ("-3") for values; "-inf",
@@ -126,51 +89,54 @@ _FLAGS = {
         default=SkVariant.ESTIMATE_DIFFERENCE.value,
         help="SK recursion form (default: %(default)s)",
     ),
-    "--k": dict(type=_parse_int, default=1, help="information bits per block"),
+    "--k": dict(type=_int, default=1, help="information bits per block"),
     "--k-min": dict(
-        dest="k", metavar="K_MIN", type=_parse_int, required=True,
+        dest="k", metavar="K_MIN", type=_int, required=True,
         help="smallest K; the other flags are checked against this cell",
     ),
-    "--k-max": dict(type=_parse_int, required=True, help="largest K"),
-    "--k-step": dict(type=_parse_int, default=1, help="K increment (default 1)"),
-    "--n": dict(type=_parse_int, default=None, help="total channel uses"),
-    "--rate": dict(type=_parse_rate, default=DEFAULT_RATE, help="coding rate K/N (default 1/3)"),
+    "--k-max": dict(type=_int, required=True, help="largest K"),
+    "--k-step": dict(type=_count, default=1, help="K increment (default 1)"),
+    "--n": dict(type=_int, default=None, help="total channel uses"),
+    "--rate": dict(
+        type=_reader(float, rate_error, "rate"), default=DEFAULT_RATE,
+        help="coding rate K/N (default 1/3)",
+    ),
     "--snr-db": dict(
-        dest="forward_snr_db", metavar="SNR_DB", type=_parse_snr, default=0.0,
+        dest="forward_snr_db", metavar="SNR_DB", type=_snr, default=0.0,
         help="forward SNR in dB",
     ),
     "--feedback-snr-db": dict(
-        type=_parse_snr, default=math.inf, help="feedback SNR in dB, 'inf' for noiseless (default)"
+        type=_snr, default=math.inf, help="feedback SNR in dB, 'inf' for noiseless (default)"
     ),
     "--feedback-snr-list": dict(
-        type=_parse_snr_list, required=True, help="comma-separated feedback SNRs in dB"
+        type=_list_of(_snr), required=True, help="comma-separated feedback SNRs in dB"
     ),
     "--precision": dict(
-        type=_parse_precision, default=64,
+        type=_width, default=64,
         help=f"emulated arithmetic width: {', '.join(map(str, WIDTHS))} (default: %(default)s)",
     ),
     "--precisions": dict(
-        type=_parse_precision_list, default=list(WIDTHS),
+        type=_list_of(_width), default=list(WIDTHS),
         help=f"comma-separated widths (default: {','.join(map(str, WIDTHS))})",
     ),
     "--reference": dict(
         required=True, help="CSV with header precision_bits,feedback_snr_db,reference_ber"
     ),
-    "--gamma": dict(type=_parse_float, default=1.0, help="first-use power fraction (default 1.0)"),
+    "--gamma": dict(type=_float, default=1.0, help="first-use power fraction (default 1.0)"),
     "--gamma-grid": dict(
-        type=_parse_float_list, required=True, help="comma-separated gamma values to scan"
+        type=_list_of(_float), required=True, help="comma-separated gamma values to scan"
     ),
-    "--seed": dict(type=_parse_u64, default=0, help="master seed"),
+    "--seed": dict(type=_reader(int, seed_error, "seed"), default=0, help="master seed"),
     "--bit-mapping": dict(
         choices=[m.value for m in BitMapping],
         default=BitMapping.NATURAL.value,
         help="bits-to-position labeling (default: %(default)s)",
     ),
     "--trials": dict(
-        type=_parse_count, default=DEFAULT_TRIALS, help="Monte Carlo trials per cell"
+        type=_count, default=DEFAULT_TRIALS, help="Monte Carlo trials per cell"
     ),
     "--stop-at-errors": dict(
-        type=_parse_count, default=None,
+        type=_count, default=None,
         help="stop a cell early once this many bit errors accumulate",
     ),
     "--out": dict(default=None, help="output CSV path (default: stdout)"),
@@ -304,8 +270,6 @@ def main(argv=None) -> int:
     if hasattr(args, "k_step"):
         if args.n is not None:
             parser.error("--n sets a single cell's N; sweeps set each cell's N from --rate")
-        if args.k_step < 1:
-            parser.error(f"--k-step must be >= 1, got {args.k_step}")
         if args.k_max < args.k:
             parser.error(f"--k-max {args.k_max} is below --k-min {args.k}")
     try:

@@ -320,7 +320,7 @@ def optimize_gamma(cfg: SkConfig, grid) -> list[GammaRecord]:
     # SkConfig checks every entry, a repeated one too
     cells = sorted({replace(cfg, gamma=g) for g in grid}, key=lambda c: c.gamma)
     if not cells:
-        raise ValueError("gamma grid must be non-empty")
+        raise ValueError("grid must be non-empty")
     if cfg.feedback_snr_db != math.inf:
         raise ValueError("gamma optimization requires noiseless feedback")
     spreads = [terminal_estimate_std(c) for c in cells]

@@ -23,6 +23,12 @@ from .precision import PrecisionMode
 MAX_K = 64  # message indices must fit an unsigned 64-bit integer
 
 
+def seed_error(seed: int) -> str | None:
+    """Why ``SkConfig`` and the command-line tool refuse an integer seed,
+    or None."""
+    return None if 0 <= seed < 2**64 else "must fit an unsigned 64-bit integer"
+
+
 class SkVariant(enum.Enum):
     """Which algebraic form of the SK recursion the transmitter runs."""
 
@@ -102,8 +108,8 @@ class SkConfig:
                 f"gamma={self.gamma} leaves no power for the remaining "
                 f"{self.n_total - 1} uses (need gamma < n_total)"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit an unsigned 64-bit integer")
+        if why := seed_error(self.seed):
+            raise ValueError(f"seed {why}, got {self.seed}")
 
     @property
     def rate(self) -> float:
@@ -159,14 +165,15 @@ def gray_decode(label):
     return v
 
 
-def label_of_index(index, k: int, mapping: BitMapping):
-    """Bit pattern (as an integer) carried by constellation position ``index``."""
+def label_of_index(index, mapping: BitMapping):
+    """Bit pattern (as an integer) carried by constellation position ``index``;
+    a K-bit label is its own low K bits, so K is not needed."""
     if mapping is BitMapping.NATURAL:
         return np.asarray(index, dtype=np.uint64)
     return gray_encode(index)
 
 
-def index_of_label(label, k: int, mapping: BitMapping):
+def index_of_label(label, mapping: BitMapping):
     """Constellation position that carries bit pattern ``label``."""
     if mapping is BitMapping.NATURAL:
         return np.asarray(label, dtype=np.uint64)

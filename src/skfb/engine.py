@@ -54,6 +54,27 @@ def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
+def count_error(value) -> str | None:
+    """Why a trial count, an error count, a worker count or a K step is
+    refused, here and by the command-line tool, or None."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        return "must be an integer >= 1"
+    return None
+
+
+def rate_error(rate) -> str | None:
+    """Why a sweep's coding rate is refused, or None.  In (0, 1] a cell's
+    n_total = round(K / rate) is at least K."""
+    if not isinstance(rate, numbers.Real) or isinstance(rate, bool) or not 0 < rate <= 1:
+        return "must be a number in (0, 1]"
+    return None
+
+
+def _check(name: str, value, rule) -> None:
+    if why := rule(value):
+        raise ValueError(f"{name} {why}, got {value!r}")
+
+
 def default_workers() -> int:
     """Worker cap: SKFB_THREADS if set, else the CPUs this process may run on."""
     env = os.environ.get("SKFB_THREADS")
@@ -61,9 +82,9 @@ def default_workers() -> int:
         try:
             workers = int(env)
         except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"SKFB_THREADS must be an integer >= 1, got {env!r}")
+            workers = None
+        if why := count_error(workers):
+            raise ValueError(f"SKFB_THREADS {why}, got {env!r}")
         return workers
     if hasattr(os, "sched_getaffinity"):  # honours a pinned CPU set
         return len(os.sched_getaffinity(0))
@@ -84,9 +105,9 @@ def _run_chunk(cfg: SkConfig, lo: int, hi: int, channels) -> dict:
         idx = np.zeros(hi - lo, dtype=np.uint64)
         failed = np.ones(hi - lo, dtype=bool)
     else:
-        theta = index_to_value(index_of_label(labels, cfg.k, cfg.bit_mapping), cfg.k)
+        theta = index_to_value(index_of_label(labels, cfg.bit_mapping), cfg.k)
         idx, failed = _codec.run_block(cfg, theta, channels())
-    errors = popcount_u64(labels ^ label_of_index(idx, cfg.k, cfg.bit_mapping))
+    errors = popcount_u64(labels ^ label_of_index(idx, cfg.bit_mapping))
     return {
         "trials": hi - lo,
         "bit_errors": int(errors.sum()),
@@ -166,11 +187,6 @@ def _map_chunks(cfg: SkConfig, trials: int, reduce, uses: int, stop_at_errors=No
     return totals
 
 
-def _check_count(name: str, value) -> None:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def estimate_ber(cfg: SkConfig, trials: int, stop_at_errors: int | None = None) -> RunRecord:
     """Monte Carlo BER over ``trials`` independent SK trials, as one CSV row.
 
@@ -180,9 +196,9 @@ def estimate_ber(cfg: SkConfig, trials: int, stop_at_errors: int | None = None) 
     first multiple of ``CHUNK_TRIALS`` trials that reaches that many bit
     errors; the row's ``trials`` is what was actually run.
     """
-    _check_count("trials", trials)
+    _check("trials", trials, count_error)
     if stop_at_errors is not None:
-        _check_count("stop_at_errors", stop_at_errors)
+        _check("stop_at_errors", stop_at_errors, count_error)
     t0 = time.perf_counter()
     halts = _codec.schedule(cfg).halt < cfg.n_total  # every trial fails: no noise, no step
     totals = _map_chunks(cfg, trials, _run_chunk, 0 if halts else cfg.n_total, stop_at_errors)
@@ -211,7 +227,7 @@ def measure_symbol_power(cfg: SkConfig, trials: int, steps) -> dict[int, tuple[f
     so its float sums split at other trials.  Failed trials send 0, so
     from the schedule's halt on the power is 0.
     """
-    _check_count("trials", trials)
+    _check("trials", trials, count_error)
     steps = tuple(steps)
     if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in steps):
         raise ValueError(f"steps must be integers, got {steps!r}")
@@ -222,7 +238,7 @@ def measure_symbol_power(cfg: SkConfig, trials: int, steps) -> dict[int, tuple[f
 
     def power(cfg, lo, hi, channels):
         labels = _channel.message_indices(cfg.seed, lo, hi, cfg.k)
-        theta = index_to_value(index_of_label(labels, cfg.k, cfg.bit_mapping), cfg.k)
+        theta = index_to_value(index_of_label(labels, cfg.bit_mapping), cfg.k)
         sums = {}
         for state in _codec.block_states(cfg, theta, channels()):
             if state.step in wanted:
@@ -258,16 +274,13 @@ _DOMAIN_BEST_K = 103
 
 
 def _cell(base_cfg: SkConfig, k: int, rate: float | None, ids: tuple, **fields) -> SkConfig:
-    """Sweep cell K at ``rate`` (default: the base config's rate).
-
-    The rate must lie in (0, 1], the range ``--rate`` accepts, so the
-    cell's n_total = round(K / rate) is at least K.  Its seed is derived
-    from the master seed, the sweep's ``ids`` and K; ``fields`` are the
-    other config fields the sweep sets per cell.
+    """Sweep cell K at ``rate`` (default: the base config's rate), which
+    :func:`rate_error` checks.  Its seed is derived from the master seed,
+    the sweep's ``ids`` and K; ``fields`` are the other config fields the
+    sweep sets per cell.
     """
     rate = base_cfg.rate if rate is None else rate
-    if not isinstance(rate, numbers.Real) or isinstance(rate, bool) or not 0 < rate <= 1:
-        raise ValueError(f"rate must be a number in (0, 1], got {rate!r}")
+    _check("rate", rate, rate_error)
     return replace(
         base_cfg,
         k=k,
@@ -330,8 +343,10 @@ def sweep_precision_grid(
     """
     k_values = list(dict.fromkeys(k_range))
     modes = list(dict.fromkeys(PrecisionMode(bits) for bits in precisions))
-    if not k_values or not modes:
-        raise ValueError("precision and K grids must be non-empty")
+    if not modes:
+        raise ValueError("precisions must be non-empty")
+    if not k_values:
+        raise ValueError("k_range must be non-empty")
     cells = [
         (
             _cell(base_cfg, k, rate, (_DOMAIN_PRECISION, mode.width), precision=mode),

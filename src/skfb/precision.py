@@ -34,6 +34,16 @@ _FORMATS = {
 WIDTHS = tuple(_FORMATS)  # the supported widths, ascending
 
 
+def width_error(width) -> str | None:
+    """Why ``PrecisionMode``, the command-line tool and the reference
+    table refuse a width, or None."""
+    if not isinstance(width, numbers.Integral) or isinstance(width, bool):
+        return "must be an integer"
+    if width not in _FORMATS:
+        return f"must be one of {', '.join(map(str, WIDTHS))}"
+    return None
+
+
 @dataclass(frozen=True)
 class PrecisionMode:
     """Arithmetic emulation policy for one bit width, an integer in
@@ -42,14 +52,9 @@ class PrecisionMode:
     width: int = 64
 
     def __post_init__(self):
-        width = self.width
-        if not isinstance(width, numbers.Integral) or isinstance(width, bool):
-            raise ValueError(f"width must be an integer, got {width!r}")
-        if width not in _FORMATS:
-            raise ValueError(
-                f"unsupported precision width {width}; choose one of {list(WIDTHS)}"
-            )
-        object.__setattr__(self, "width", int(width))
+        if why := width_error(self.width):
+            raise ValueError(f"width {why}, got {self.width!r}")
+        object.__setattr__(self, "width", int(self.width))
 
     @property
     def exponent_bits(self) -> int:

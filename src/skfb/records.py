@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, fields
 
 from . import __version__
+from .channel import snr_db_error
 from .core import BitMapping, SkConfig, SkVariant
-from .precision import WIDTHS, PrecisionMode
+from .precision import PrecisionMode, width_error
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,8 @@ class ReferenceTableError(ValueError):
 
 
 def read_reference_table(path) -> ReferenceTable:
-    """Load and validate a (precision, feedback SNR) -> BER baseline CSV."""
+    """Load and validate a (precision, feedback SNR) -> BER baseline CSV;
+    widths and SNRs are checked by the rules of ``PrecisionMode`` and ``SkConfig``."""
     rows: dict[tuple[int, float], float] = {}
     first_line: dict[tuple[int, float], int] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -196,13 +197,10 @@ def read_reference_table(path) -> ReferenceTable:
                 ber = float(row[2])
             except ValueError as exc:
                 raise ReferenceTableError(f"{path}:{lineno}: {exc}") from None
-            if bits not in WIDTHS:
-                raise ReferenceTableError(
-                    f"{path}:{lineno}: precision_bits must be one of "
-                    f"{', '.join(map(str, WIDTHS))}, got {bits}"
-                )
-            if math.isnan(snr):
-                raise ReferenceTableError(f"{path}:{lineno}: feedback_snr_db is nan")
+            if why := width_error(bits):
+                raise ReferenceTableError(f"{path}:{lineno}: precision_bits {why}, got {bits}")
+            if why := snr_db_error(snr):
+                raise ReferenceTableError(f"{path}:{lineno}: feedback_snr_db {why}, got {snr}")
             if not 0.0 < ber <= 1.0:
                 raise ReferenceTableError(
                     f"{path}:{lineno}: reference_ber must be in (0, 1], got {ber}"

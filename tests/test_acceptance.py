@@ -125,7 +125,7 @@ def test_criterion_6_variant_equivalence():
     n_trials = 10_000
     seed = 606
     labels = channel_mod.message_indices(seed, 0, n_trials, 20)
-    positions = index_of_label(labels, 20, BitMapping.NATURAL)
+    positions = index_of_label(labels, BitMapping.NATURAL)
     theta = index_to_value(positions, 20)
     decoded = {}
     for variant in SkVariant:
@@ -186,7 +186,7 @@ def test_criterion_9_transmitter_tracking_identity():
     n_trials = 1000
     channels = channel_mod.make_channels(cfg, 0, n_trials)
     labels = channel_mod.message_indices(cfg.seed, 0, n_trials, cfg.k)
-    theta = index_to_value(index_of_label(labels, cfg.k, cfg.bit_mapping), cfg.k)
+    theta = index_to_value(index_of_label(labels, cfg.bit_mapping), cfg.k)
     state = codec_mod.sk_init(theta, cfg, channels)
     worst = float(np.max(np.abs(state.theta_hat_tx - state.theta_hat_rx)))
     for _ in range(cfg.n_total - 1):

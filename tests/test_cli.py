@@ -312,7 +312,24 @@ def test_a_bad_list_entry_is_named_in_the_usage_error(argv, entry, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert entry in err and argv[-2] in err
-    assert "_parse_" not in err
+    assert "invalid" not in err  # argparse's text, which names the type function
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["sweep-precision", "--k-min", "1", "--k-max", "1", "--reference", REFERENCE,
+          "--precisions", ","], "precisions"),
+        (["sweep-feedback", "--k-max", "1", "--feedback-snr-list", ","], "snr_list"),
+        (["optimize-gamma", "--gamma-grid", ""], "grid"),
+    ],
+    ids=["precisions", "feedback-snr-list", "gamma-grid"],
+)
+def test_an_empty_list_flag_is_a_runtime_error_naming_its_parameter(argv, name, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"skfb: error: {name} must be non-empty\n"
 
 
 def test_replay_row_reproduces_ber(capsys):

@@ -331,7 +331,7 @@ def test_non_finite_state_decodes_to_zero_and_flags():
     idx, failed = decode_indices(state, cfg)
     assert list(idx) == [5, 0, 0, 1]
     assert list(failed) == [False, True, True, False]
-    labels = label_of_index(idx, cfg.k, cfg.bit_mapping)
+    labels = label_of_index(idx, cfg.bit_mapping)
     assert list(labels) == [5, 0, 0, 1]
 
 
@@ -471,7 +471,7 @@ def test_adjacency_totals_match_enumeration():
     # the closed forms against direct popcount enumeration
     for k in range(1, 19):
         for mapping in BitMapping:
-            labels = label_of_index(np.arange(1 << k, dtype=np.uint64), k, mapping)
+            labels = label_of_index(np.arange(1 << k, dtype=np.uint64), mapping)
             brute = 2 * int(popcount_u64(labels[1:] ^ labels[:-1]).sum())
             assert adjacent_bitflip_total(k, mapping) == brute, (k, mapping)
     assert adjacent_bitflip_total(3, BitMapping.NATURAL) == 22
@@ -535,7 +535,7 @@ def test_each_gamma_entry_is_checked_as_sk_config_checks_it(grid):
 
 
 def test_optimize_gamma_rejects_bad_grids():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grid must be non-empty$"):
         optimize_gamma(SkConfig(k=2, n_total=6), [])
     with pytest.raises(ValueError):
         optimize_gamma(SkConfig(k=2, n_total=6), [1.0, -0.5])

@@ -24,12 +24,12 @@ RNG = np.random.default_rng(77)
 
 def _encode(labels, k, mapping=BitMapping.NATURAL):
     """Amplitudes of the bit labels, as the engine maps its messages."""
-    return index_to_value(index_of_label(np.asarray(labels, dtype=np.uint64), k, mapping), k)
+    return index_to_value(index_of_label(np.asarray(labels, dtype=np.uint64), mapping), k)
 
 
 def _decode(values, k, mapping=BitMapping.NATURAL):
     """Bit labels of the nearest positions, as the engine decodes."""
-    return label_of_index(value_to_index(values, k), k, mapping)
+    return label_of_index(value_to_index(values, k), mapping)
 
 
 def test_two_pam_is_plus_minus_one():
@@ -38,7 +38,7 @@ def test_two_pam_is_plus_minus_one():
 
 def test_k2_index3_value_from_step_formula():
     # frozen from the normalization formula: 3 * sqrt(3/15)
-    assert int(index_of_label(0b11, 2, BitMapping.NATURAL)) == 3
+    assert int(index_of_label(0b11, BitMapping.NATURAL)) == 3
     value = float(_encode(0b11, 2))
     assert value == pytest.approx(3.0 * math.sqrt(3.0 / 15.0), abs=1e-15)
     assert value == pytest.approx(1.3416407864998738, abs=1e-15)
@@ -73,7 +73,7 @@ def test_gray_and_natural_share_the_value_set():
 
 def test_gray_adjacent_positions_differ_in_one_bit():
     for k in (3, 5, 8):
-        labels = label_of_index(np.arange(1 << k, dtype=np.uint64), k, BitMapping.GRAY)
+        labels = label_of_index(np.arange(1 << k, dtype=np.uint64), BitMapping.GRAY)
         flips = popcount_u64(labels[1:] ^ labels[:-1])
         assert np.all(flips == 1)
 

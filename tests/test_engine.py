@@ -117,7 +117,7 @@ def _hand_loop(cfg, hi, lo=0):
     sums of X_n^2 and X_n^4 over trials (failed trials send 0).
     """
     labels = message_indices(cfg.seed, lo, hi, cfg.k)
-    theta = index_to_value(index_of_label(labels, cfg.k, cfg.bit_mapping), cfg.k)
+    theta = index_to_value(index_of_label(labels, cfg.bit_mapping), cfg.k)
     channels = make_channels(cfg, lo, hi)
     alpha = schedule(cfg).alpha
     state = sk_init(theta, cfg, channels)
@@ -129,7 +129,7 @@ def _hand_loop(cfg, hi, lo=0):
         x = np.where(state.failed | ~np.isfinite(x), 0.0, x)
         power[state.step] = (float(np.sum(x * x)), float(np.sum(x**4)))
     idx, failed = decode_indices(state, cfg)
-    errors = popcount_u64(labels ^ label_of_index(idx, cfg.k, cfg.bit_mapping))
+    errors = popcount_u64(labels ^ label_of_index(idx, cfg.bit_mapping))
     return errors, failed, power
 
 
@@ -576,8 +576,19 @@ def test_sweeps_refuse_a_rate_outside_the_unit_interval(rate):
 
 
 def test_sweep_block_length_rejects_empty_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k_range must be non-empty$"):
         sweep_block_length(SkConfig(k=1), [], trials=10)
+
+
+@pytest.mark.parametrize(
+    "precisions, k_range, name", [([], [1], "precisions"), ([8], [], "k_range"),
+                                  ([], [], "precisions")],
+    ids=["precisions", "k-range", "both"],
+)
+def test_an_empty_precision_grid_names_its_parameter(precisions, k_range, name):
+    table = ReferenceTable(rows={})
+    with pytest.raises(ValueError, match=f"^{name} must be non-empty$"):
+        sweep_precision_grid(SkConfig(k=1), precisions, k_range, table, trials=10)
 
 
 def test_derive_seed_is_stable_and_spread():

@@ -1,5 +1,7 @@
-"""The README's examples run as written, and its stated sizes are the code's."""
+"""The README's examples run as written, and its stated sizes and flags
+are the code's."""
 
+import argparse
 import pathlib
 import re
 import shlex
@@ -43,3 +45,43 @@ def test_the_stated_block_sizes_match_the_code(pattern, value):
     text = " ".join(README.read_text(encoding="utf-8").split())  # one line
     stated = {int(number.replace(",", "")) for number in re.findall(pattern, text)}
     assert stated == {value}
+
+
+def _readme_flag_table() -> dict[str, set[str]]:
+    """Each subcommand of the README's table and its flags, with "cell
+    flags", "run flags" and "K range" expanded from their bullets."""
+    text = README.read_text(encoding="utf-8")
+
+    def flags(cell: str) -> set[str]:
+        return set(re.findall(r"`(--[\w-]+)", cell))
+
+    groups = {
+        name.lower(): flags(body)
+        for name, body in re.findall(r"^\* (Cell flags|Run flags|K range): (.*?)\n(?!  )",
+                                     text, re.MULTILINE | re.DOTALL)
+    }
+    assert len(groups) == 3
+    table = {}
+    for command, cell in re.findall(r"^\| `([\w-]+)` \| (.*) \|$", text, re.MULTILINE):
+        table[command] = flags(cell).union(
+            *(members for name, members in groups.items() if name in cell.lower())
+        )
+    return table
+
+
+def _parser_flags() -> dict[str, set[str]]:
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        command: {flag for action in parser._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for command, parser in sub.choices.items()
+    }
+
+
+def test_the_flag_table_names_every_subcommand():
+    assert sorted(_readme_flag_table()) == sorted(_parser_flags())
+
+
+@pytest.mark.parametrize("command", sorted(_parser_flags()))
+def test_the_flag_table_lists_each_subcommands_flags(command):
+    assert _readme_flag_table().get(command) == _parser_flags()[command]
