@@ -6,8 +6,8 @@ Library layout:
     precision  emulated reduced-precision floating point
     channel    AWGN channels with counter-based reproducible noise
     codec      the SK recursion (both variants), analytic BER oracle
-    engine     BER estimation and the three sweeps, returning CSV rows;
-               SKFB_THREADS caps their worker pool
+    engine     BER estimation, the three sweeps and gamma optimization,
+               returning CSV rows; SKFB_THREADS caps their worker pool
     records    CSV records and the external reference-BER table
     cli        the ``skfb`` command-line tool
 """
@@ -26,13 +26,13 @@ from .channel import AwgnChannel, make_channels  # noqa: F401
 from .codec import (  # noqa: F401
     SkState,
     analytic_ber_oracle,
-    optimize_gamma,
     sk_init,
     sk_step,
 )
 from .engine import (  # noqa: F401
     estimate_ber,
     measure_symbol_power,
+    optimize_gamma,
     sweep_block_length,
     sweep_feedback_snr,
     sweep_precision_grid,

@@ -10,16 +10,15 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from dataclasses import fields
 
 from . import __version__
 from .channel import snr_db_error
-from .codec import analytic_ber_oracle, optimize_gamma, schedule
+from .codec import analytic_ber_oracle, schedule
 from .core import BitMapping, SkConfig, SkVariant, seed_error
-from .engine import (count_error, estimate_ber, rate_error, sweep_block_length,
+from .engine import (count_error, estimate_ber, optimize_gamma, rate_error, sweep_block_length,
                      sweep_feedback_snr, sweep_precision_grid)
 from .precision import WIDTHS, PrecisionMode, width_error
 from .records import (
@@ -31,8 +30,8 @@ from .records import (
     write_csv,
 )
 
-DEFAULT_RATE = 1.0 / 3.0
 DEFAULT_TRIALS = 100_000
+_DEFAULT = SkConfig()  # every cell flag's default
 
 
 def _reader(kind, rule=None, name=""):
@@ -86,10 +85,10 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 _FLAGS = {
     "--variant": dict(
         choices=[v.value for v in SkVariant],
-        default=SkVariant.ESTIMATE_DIFFERENCE.value,
+        default=_DEFAULT.variant.value,
         help="SK recursion form (default: %(default)s)",
     ),
-    "--k": dict(type=_int, default=1, help="information bits per block"),
+    "--k": dict(type=_int, default=_DEFAULT.k, help="information bits per block"),
     "--k-min": dict(
         dest="k", metavar="K_MIN", type=_int, required=True,
         help="smallest K; the other flags are checked against this cell",
@@ -98,21 +97,22 @@ _FLAGS = {
     "--k-step": dict(type=_count, default=1, help="K increment (default 1)"),
     "--n": dict(type=_int, default=None, help="total channel uses"),
     "--rate": dict(
-        type=_reader(float, rate_error, "rate"), default=DEFAULT_RATE,
-        help="coding rate K/N (default 1/3)",
+        type=_reader(float, rate_error, "rate"), default=_DEFAULT.rate,
+        help=f"coding rate K/N (default {_DEFAULT.k}/{_DEFAULT.n_total})",
     ),
     "--snr-db": dict(
-        dest="forward_snr_db", metavar="SNR_DB", type=_snr, default=0.0,
-        help="forward SNR in dB",
+        dest="forward_snr_db", metavar="SNR_DB", type=_snr,
+        default=_DEFAULT.forward_snr_db, help="forward SNR in dB",
     ),
     "--feedback-snr-db": dict(
-        type=_snr, default=math.inf, help="feedback SNR in dB, 'inf' for noiseless (default)"
+        type=_snr, default=_DEFAULT.feedback_snr_db,
+        help="feedback SNR in dB, 'inf' for noiseless (default: %(default)s)"
     ),
     "--feedback-snr-list": dict(
         type=_list_of(_snr), required=True, help="comma-separated feedback SNRs in dB"
     ),
     "--precision": dict(
-        type=_width, default=64,
+        type=_width, default=_DEFAULT.precision.width,
         help=f"emulated arithmetic width: {', '.join(map(str, WIDTHS))} (default: %(default)s)",
     ),
     "--precisions": dict(
@@ -122,14 +122,16 @@ _FLAGS = {
     "--reference": dict(
         required=True, help="CSV with header precision_bits,feedback_snr_db,reference_ber"
     ),
-    "--gamma": dict(type=_float, default=1.0, help="first-use power fraction (default 1.0)"),
+    "--gamma": dict(type=_float, default=_DEFAULT.gamma,
+                    help="first-use power fraction (default: %(default)s)"),
     "--gamma-grid": dict(
         type=_list_of(_float), required=True, help="comma-separated gamma values to scan"
     ),
-    "--seed": dict(type=_reader(int, seed_error, "seed"), default=0, help="master seed"),
+    "--seed": dict(type=_reader(int, seed_error, "seed"), default=_DEFAULT.seed,
+                   help="master seed"),
     "--bit-mapping": dict(
         choices=[m.value for m in BitMapping],
-        default=BitMapping.NATURAL.value,
+        default=_DEFAULT.bit_mapping.value,
         help="bits-to-position labeling (default: %(default)s)",
     ),
     "--trials": dict(
@@ -146,13 +148,14 @@ _EXCLUSIVE = ("--n", "--rate")
 
 def _config_from_args(args) -> SkConfig:
     """The cell the flags describe.  A field whose flag the subcommand
-    does not take keeps SkConfig's default, which is the flag's default."""
+    does not take keeps SkConfig's default, as the flag's default does."""
     cfg = {f.name: getattr(args, f.name) for f in fields(SkConfig) if hasattr(args, f.name)}
     for name, kind in (("variant", SkVariant), ("precision", PrecisionMode),
                        ("bit_mapping", BitMapping)):
         if name in cfg:
             cfg[name] = kind(cfg[name])
-    n_total = args.n if args.n is not None else round(args.k / args.rate)
+    n = getattr(args, "n", None)  # the sweeps set each cell's N from the rate
+    n_total = n if n is not None else round(args.k / args.rate)
     return SkConfig(**cfg, n_total=n_total)
 
 
@@ -219,7 +222,7 @@ def _cmd_optimize_gamma(args) -> list:
     return optimize_gamma(_config_from_args(args), args.gamma_grid)
 
 
-_CELL = ("--variant", "--n", "--rate", "--snr-db", "--bit-mapping", "--gamma")
+_CELL = ("--variant", "--rate", "--snr-db", "--bit-mapping", "--gamma")
 _RUN = ("--seed", "--trials", "--stop-at-errors", "--out")
 _K_RANGE = ("--k-min", "--k-max", "--k-step")
 _K_FROM_1 = (("--k-min", dict(required=False, default=1)), "--k-max", "--k-step")
@@ -228,7 +231,7 @@ _K_FROM_1 = (("--k-min", dict(required=False, default=1)), "--k-max", "--k-step"
 # that differ from its _FLAGS entry; help lists the flags in _FLAGS order
 _SUBCOMMANDS = (
     ("ber", "single BER estimate", _cmd_ber,
-     ("--k", *_CELL, "--feedback-snr-db", "--precision", *_RUN)),
+     ("--k", "--n", *_CELL, "--feedback-snr-db", "--precision", *_RUN)),
     ("sweep-k", "BER vs block length at fixed rate", _cmd_sweep_k,
      (*_K_RANGE, *_CELL, "--feedback-snr-db", "--precision", *_RUN)),
     ("sweep-precision", "SK-vs-reference grid over precision and block length",
@@ -237,7 +240,7 @@ _SUBCOMMANDS = (
     ("sweep-feedback", "best block length per feedback SNR", _cmd_sweep_feedback,
      (*_K_FROM_1, *_CELL, "--feedback-snr-list", "--precision", *_RUN)),
     ("oracle", "closed-form BER for noiseless feedback", _cmd_oracle,
-     ("--k", *_CELL, "--feedback-snr-db", "--out")),
+     ("--k", "--n", *_CELL, "--feedback-snr-db", "--out")),
     ("optimize-gamma", "grid-optimize first-use power fraction", _cmd_optimize_gamma,
      ("--k", "--n", "--rate", "--snr-db", "--bit-mapping", "--feedback-snr-db", "--gamma-grid",
       "--out")),
@@ -259,19 +262,19 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, settings in sorted(specs, key=lambda spec: list(_FLAGS).index(spec[0])):
             target = exclusive if flag in _EXCLUSIVE else p
             target.add_argument(flag, **{**_FLAGS[flag], **settings})
-        p.set_defaults(func=command)
+        p.set_defaults(func=command, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_attach_signed_values(argv))
-    if hasattr(args, "k_step"):
-        if args.n is not None:
-            parser.error("--n sets a single cell's N; sweeps set each cell's N from --rate")
-        if args.k_max < args.k:
-            parser.error(f"--k-max {args.k_max} is below --k-min {args.k}")
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else list(argv))
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # past the subcommand's name, its own usage names the flags it takes
+        (args.parser if argv[0] == args.command else parser).error(
+            f"unrecognized arguments: {' '.join(extras)}")
+    if hasattr(args, "k_step") and args.k_max < args.k:
+        args.parser.error(f"--k-max {args.k_max} is below --k-min {args.k}")
     try:
         _emit(args, args.func(args))
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
@@ -45,7 +45,6 @@ from scipy.special import ndtr
 from . import channel as _channel
 from .core import BitMapping, SkConfig, SkVariant, pam_step, value_to_index
 from .precision import quantize
-from .records import GammaRecord, config_columns
 
 SIGNAL_POWER = 1.0  # per-symbol power constraint P
 
@@ -304,32 +303,3 @@ def analytic_ber_oracle(cfg: SkConfig) -> float:
     q = float(ndtr(-pam_step(cfg.k) / sigma_n))
     total = adjacent_bitflip_total(cfg.k, cfg.bit_mapping)
     return q * total / (cfg.k * (1 << cfg.k))
-
-
-def optimize_gamma(cfg: SkConfig, grid) -> list[GammaRecord]:
-    """The oracle BER at each first-use power fraction, as CSV rows.
-
-    One row per distinct gamma of ``grid``, ascending; ``cfg``'s own
-    gamma is not used.  The energy constraint is applied through
-    ``residual_power``: raising gamma drains the later uses.  Exactly one
-    row has ``is_best``: grid points are ranked by the terminal estimate
-    spread, the strictly monotone core of the oracle, so the ranking stays
-    meaningful even where the BER itself underflows to zero, and ties go
-    to the smaller gamma.
-    """
-    # SkConfig checks every entry, a repeated one too
-    cells = sorted({replace(cfg, gamma=g) for g in grid}, key=lambda c: c.gamma)
-    if not cells:
-        raise ValueError("grid must be non-empty")
-    if cfg.feedback_snr_db != math.inf:
-        raise ValueError("gamma optimization requires noiseless feedback")
-    spreads = [terminal_estimate_std(c) for c in cells]
-    best = spreads.index(min(spreads))  # the first minimum has the smallest gamma
-    return [
-        GammaRecord(
-            **config_columns(c, GammaRecord),
-            oracle_ber=analytic_ber_oracle(c),
-            is_best=i == best,
-        )
-        for i, c in enumerate(cells)
-    ]

@@ -13,7 +13,10 @@ command-line tool.
 
 ``estimate_ber`` runs one cell and returns the timed CSV row the
 command-line tool prints.  Each of the three sweeps is the one
-implementation of its experiment and returns one such row per cell.
+implementation of its experiment: it reads its axes with
+:func:`_distinct`, runs its cells through :func:`_run_sweep` and returns
+one such row per cell.  :func:`optimize_gamma` returns the closed-form
+oracle's rows over a gamma grid.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from . import channel as _channel
 from . import codec as _codec
 from .core import SkConfig, index_of_label, index_to_value, label_of_index, popcount_u64
 from .precision import PrecisionMode
-from .records import BestKRecord, PhaseRecord, ReferenceTable, RunRecord, config_columns
+from .records import (BestKRecord, GammaRecord, PhaseRecord, ReferenceTable, RunRecord,
+                      config_columns)
 
 CHUNK_TRIALS = 1 << 15  # fixed so results never depend on worker layout
 # noise variates per noisy channel a block may hold (16 MiB of float64)
@@ -273,21 +277,33 @@ _DOMAIN_PRECISION = 102
 _DOMAIN_BEST_K = 103
 
 
-def _cell(base_cfg: SkConfig, k: int, rate: float | None, ids: tuple, **fields) -> SkConfig:
-    """Sweep cell K at ``rate`` (default: the base config's rate), which
-    :func:`rate_error` checks.  Its seed is derived from the master seed,
-    the sweep's ``ids`` and K; ``fields`` are the other config fields the
-    sweep sets per cell.
+def _distinct(name: str, values) -> list:
+    """A sweep axis: ``values`` less repeats, each keeping its first
+    position; an empty axis is refused by ``name``."""
+    axis = list(dict.fromkeys(values))
+    if not axis:
+        raise ValueError(f"{name} must be non-empty")
+    return axis
+
+
+def _run_sweep(base_cfg: SkConfig, k_values, groups, rate, trials, stop_at_errors) -> list:
+    """The rows of every (group, K) cell, one list per group, K in order.
+
+    A group is (domain ids, config fields): a cell's seed is derived from
+    the master seed, the ids and K, and ``fields`` are the other config
+    fields the sweep sets.  Its N is round(K / rate) at ``rate`` (default:
+    the base config's rate), which :func:`rate_error` checks.  Every cell
+    is built before the first is simulated, so an invalid cell fails the
+    sweep before any work is done.
     """
     rate = base_cfg.rate if rate is None else rate
     _check("rate", rate, rate_error)
-    return replace(
-        base_cfg,
-        k=k,
-        n_total=round(k / rate),
-        seed=derive_seed(base_cfg.seed, *ids, int(k)),
-        **fields,
-    )
+    cells = [
+        [replace(base_cfg, k=k, n_total=round(k / rate),
+                 seed=derive_seed(base_cfg.seed, *ids, int(k)), **fields) for k in k_values]
+        for ids, fields in groups
+    ]
+    return [[estimate_ber(cfg, trials, stop_at_errors) for cfg in group] for group in cells]
 
 
 def sweep_block_length(
@@ -299,14 +315,11 @@ def sweep_block_length(
 ) -> list[RunRecord]:
     """One row per K at fixed rate (default: the base config's rate).
 
-    A repeated K is dropped: each keeps its first position.  Every cell
-    is built before the first is simulated, so an invalid K fails the
-    sweep before any work is done.
+    A repeated K is dropped: each keeps its first position.
     """
-    cells = [_cell(base_cfg, k, rate, (_DOMAIN_SWEEP_K,)) for k in dict.fromkeys(k_range)]
-    if not cells:
-        raise ValueError("k_range must be non-empty")
-    return [estimate_ber(cfg, trials, stop_at_errors) for cfg in cells]
+    [rows] = _run_sweep(base_cfg, _distinct("k_range", k_range), [((_DOMAIN_SWEEP_K,), {})],
+                        rate, trials, stop_at_errors)
+    return rows
 
 
 SK_WINS = "sk_wins"
@@ -338,27 +351,15 @@ def sweep_precision_grid(
     """SK-vs-reference rows over (precision, block length), precision-major.
 
     A repeated width or K is dropped: each keeps its first position.
-    Every cell and its reference BER are built before the first cell is
-    simulated, so an invalid width or K fails the sweep before any work.
     """
-    k_values = list(dict.fromkeys(k_range))
-    modes = list(dict.fromkeys(PrecisionMode(bits) for bits in precisions))
-    if not modes:
-        raise ValueError("precisions must be non-empty")
-    if not k_values:
-        raise ValueError("k_range must be non-empty")
-    cells = [
-        (
-            _cell(base_cfg, k, rate, (_DOMAIN_PRECISION, mode.width), precision=mode),
-            reference.lookup(mode.width, base_cfg.feedback_snr_db),
-        )
-        for mode in modes
-        for k in k_values
-    ]
+    modes = _distinct("precisions", (PrecisionMode(bits) for bits in precisions))
+    k_values = _distinct("k_range", k_range)
+    groups = [((_DOMAIN_PRECISION, mode.width), dict(precision=mode)) for mode in modes]
     rows = []
-    for cfg, ref in cells:
-        run = estimate_ber(cfg, trials, stop_at_errors)
-        rows.append(PhaseRecord(**vars(run), reference_ber=ref, verdict=classify_cell(run, ref)))
+    for runs in _run_sweep(base_cfg, k_values, groups, rate, trials, stop_at_errors):
+        ref = reference.lookup(runs[0].precision_bits, base_cfg.feedback_snr_db)
+        rows += [PhaseRecord(**vars(run), reference_ber=ref, verdict=classify_cell(run, ref))
+                 for run in runs]
     return rows
 
 
@@ -374,28 +375,44 @@ def sweep_feedback_snr(
 
     At each SNR ``is_best`` marks the lowest BER; ties go to the smaller K.
     Repeated SNRs and K candidates are dropped: each SNR keeps its first
-    position.  Every cell is built before the first is simulated, so an
-    invalid SNR or K fails the sweep before any work is done.
+    position.
     """
     # SkConfig checks every entry, a repeated one too
-    snrs = list(dict.fromkeys(
+    snrs = _distinct("snr_list", (
         replace(base_cfg, feedback_snr_db=snr).feedback_snr_db for snr in snr_list
     ))
-    candidates = sorted(set(k_candidates))
-    if not snrs:
-        raise ValueError("snr_list must be non-empty")
-    if not candidates:
-        raise ValueError("k_candidates must be non-empty")
-    grid = [
-        [
-            _cell(base_cfg, k, rate, (_DOMAIN_BEST_K, _snr_id(snr)), feedback_snr_db=snr)
-            for k in candidates
-        ]
-        for snr in snrs
-    ]
+    candidates = sorted(_distinct("k_candidates", k_candidates))
+    groups = [((_DOMAIN_BEST_K, _snr_id(snr)), dict(feedback_snr_db=snr)) for snr in snrs]
     rows = []
-    for cells in grid:
-        runs = [estimate_ber(cfg, trials, stop_at_errors) for cfg in cells]
+    for runs in _run_sweep(base_cfg, candidates, groups, rate, trials, stop_at_errors):
         best = min(runs, key=lambda r: r.ber)  # the first minimum has the smallest K
         rows += [BestKRecord(**vars(run), is_best=run is best) for run in runs]
     return rows
+
+
+def optimize_gamma(cfg: SkConfig, grid) -> list[GammaRecord]:
+    """The oracle BER at each first-use power fraction, as CSV rows.
+
+    One row per distinct gamma of ``grid``, ascending; ``cfg``'s own
+    gamma is not used.  The energy constraint is applied through
+    ``codec.residual_power``: raising gamma drains the later uses.  Exactly
+    one row has ``is_best``: grid points are ranked by the terminal
+    estimate spread, the strictly monotone core of the oracle, so the
+    ranking stays meaningful even where the BER itself underflows to zero,
+    and ties go to the smaller gamma.
+    """
+    # SkConfig checks every entry, a repeated one too
+    cells = sorted(_distinct("grid", (replace(cfg, gamma=g) for g in grid)),
+                   key=lambda c: c.gamma)
+    if cfg.feedback_snr_db != math.inf:
+        raise ValueError("gamma optimization requires noiseless feedback")
+    spreads = [_codec.terminal_estimate_std(c) for c in cells]
+    best = spreads.index(min(spreads))  # the first minimum has the smallest gamma
+    return [
+        GammaRecord(
+            **config_columns(c, GammaRecord),
+            oracle_ber=_codec.analytic_ber_oracle(c),
+            is_best=i == best,
+        )
+        for i, c in enumerate(cells)
+    ]

@@ -121,8 +121,8 @@ def config_from_record(rec: RunRecord) -> SkConfig:
 def _format_value(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, float):
-        return repr(v)  # shortest round-trip decimal; inf -> 'inf'
+    if isinstance(v, float):  # np.float64 too, whose repr names its type
+        return repr(float(v))  # shortest round-trip decimal; inf -> 'inf'
     return str(v)
 
 
@@ -173,7 +173,7 @@ def read_reference_table(path) -> ReferenceTable:
     widths and SNRs are checked by the rules of ``PrecisionMode`` and ``SkConfig``."""
     rows: dict[tuple[int, float], float] = {}
     first_line: dict[tuple[int, float], int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a BOM is dropped
         reader = csv.reader(fh)
         try:
             header = next(reader)

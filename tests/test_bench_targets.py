@@ -1,12 +1,17 @@
-"""The names the benchmark under perfbench/ reaches into still exist.
+"""The names the benchmark under perfbench/ reaches into still exist, and
+its cheapest cells still print its stored rows.
 
 The tracer wraps its targets by module attribute and only reports a
 missing one, and the micro-benchmarks call channel and precision
 functions by name, so a refactor that drops or renames one of them
-would otherwise pass every other test.
+would otherwise pass every other test.  The benchmark's output gate
+compares every row with ``perfbench/reference.json``; a count, column or
+``tool_version`` change fails it, and fails here first.
 """
 
+import contextlib
 import importlib.util
+import io
 import pathlib
 import sys
 from unittest import mock
@@ -14,22 +19,25 @@ from unittest import mock
 import pytest
 
 from skfb import channel, precision
+from skfb.cli import main
 from skfb.core import SkConfig
 from skfb.engine import estimate_ber
 from skfb.precision import PrecisionMode
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-_TRACING = _tracing()
+_TRACING = _perfbench("tracing")
+_WORKLOADS = _perfbench("workloads")
+_GATE = _perfbench("gate")
 
 
 @pytest.mark.parametrize("target", _TRACING.TARGETS, ids=lambda t: t.wanted)
@@ -77,3 +85,17 @@ def test_every_probe_runs_under_the_tracer():
     assert all(counts is not None for name, *_, counts in spans if name in probed)
     tags = {counts["_tag"] for name, *_, counts in spans if name == _TRACING.QUANTIZE}
     assert tags == {f"w{width}" for width in precision.WIDTHS}
+
+
+_W8_CALLS = [call for call in _WORKLOADS.cell_list("precision_grid", _WORKLOADS.DEFAULT_SEED)
+             if call.label.startswith("w8.")]
+
+
+@pytest.mark.parametrize("call", _W8_CALLS, ids=lambda call: call.label)
+def test_the_8_bit_grid_cells_print_the_benchmarks_stored_rows(call):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(call.argv)) == 0
+    rows = [_GATE.stable_row(row) for row in _GATE.parse_rows(out.getvalue())]
+    stored = _GATE.load_reference("precision_grid", _WORKLOADS.DEFAULT_SEED)
+    assert rows == stored[call.label]

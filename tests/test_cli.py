@@ -5,12 +5,13 @@ import csv
 import io
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from skfb.cli import build_parser, main
+from skfb.cli import _config_from_args, build_parser, main
 from skfb.codec import analytic_ber_oracle
 from skfb.core import SkConfig, SkVariant
 from skfb.engine import estimate_ber, sweep_feedback_snr
@@ -479,6 +480,36 @@ def test_rate_flag_sets_n(capsys):
     assert parse_rows(out)[0]["n_total"] == "8"
 
 
+@pytest.mark.parametrize("command", ["sweep-k", "sweep-precision", "sweep-feedback"])
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--n", "30"], "unrecognized arguments: --n 30"),
+     (["--k-min", "4"], "--k-max 3 is below --k-min 4")],
+    ids=["n", "k-max"],
+)
+def test_a_sweeps_usage_errors_print_its_own_usage_without_n(command, extra, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert not re.search(r"--n\b", capsys.readouterr().out)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_SWEEP_EXTRA[command], *extra, "--trials", "10"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: skfb {command} ")
+    assert captured.err.endswith(f"skfb {command}: error: {message}\n")
+
+
+def test_a_flag_before_the_subcommand_gets_the_tools_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "ber", "--trials", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: skfb [-h]")
+    assert err.endswith("skfb: error: unrecognized arguments: --bogus\n")
+
+
 def test_n_and_rate_mutually_exclusive():
     proc = subprocess.run(
         [sys.executable, "-m", "skfb.cli", "ber", "--k", "2", "--n", "6", "--rate", "0.5"],
@@ -491,6 +522,28 @@ def test_n_and_rate_mutually_exclusive():
 def _subparsers() -> dict:
     [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return sub.choices
+
+
+# each required flag at the value of SkConfig()'s cell
+_REQUIRED_AT_DEFAULT = {
+    "--k-min": str(SkConfig().k),
+    "--k-max": str(SkConfig().k),
+    "--reference": REFERENCE,
+    "--feedback-snr-list": "inf",
+    "--gamma-grid": "1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_a_subcommand_given_only_its_required_flags_builds_the_default_cell(command):
+    argv = [command]
+    for action in _subparsers()[command]._actions:
+        if action.required:
+            argv += [action.option_strings[0], _REQUIRED_AT_DEFAULT[action.option_strings[0]]]
+    args = build_parser().parse_args(argv)
+    assert _config_from_args(args) == SkConfig()
+    if hasattr(args, "rate"):  # a sweep sets each cell's N from it
+        assert args.rate == SkConfig().rate
 
 
 # the smallest call of each subcommand, and a value other than the call's

@@ -22,7 +22,6 @@ from skfb.codec import (
     analytic_ber_oracle,
     block_states,
     decode_indices,
-    optimize_gamma,
     run_block,
     schedule,
     sk_init,
@@ -38,6 +37,7 @@ from skfb.core import (
     label_of_index,
     popcount_u64,
 )
+from skfb.engine import optimize_gamma
 
 RNG = np.random.default_rng(4242)
 

@@ -5,11 +5,13 @@ import io
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from skfb.core import SkConfig
-from skfb.engine import estimate_ber
+from skfb.engine import estimate_ber, sweep_precision_grid
 from skfb.records import (
+    ReferenceTable,
     ReferenceTableError,
     RunRecord,
     config_from_record,
@@ -62,6 +64,14 @@ def test_csv_shortest_roundtrip_reals():
     assert "1e-09" in text
 
 
+def test_a_numpy_float_is_written_as_a_plain_real():
+    # numpy 2's repr of np.float64(0.001) is "np.float64(0.001)"
+    table = ReferenceTable(rows={(64, math.inf): np.float64(0.001)})
+    [rec] = sweep_precision_grid(SkConfig(k=1, seed=3), [64], [1], table, trials=100)
+    row = next(csv.DictReader(io.StringIO(write_csv([rec]))))
+    assert row["reference_ber"] == "0.001"
+
+
 def test_empty_record_list_is_refused():
     # an empty list has no record type to take the header from
     with pytest.raises(ValueError):
@@ -101,6 +111,15 @@ def test_reference_table_single_row(tmp_path):
     table = read_reference_table(path)
     assert table.lookup(64, math.inf) == 1e-6
     assert table.lookup(32, math.inf) is None
+
+
+def test_a_reference_table_saved_with_a_byte_order_mark_loads_as_without_one(tmp_path):
+    # spreadsheet exports often start a UTF-8 file with one
+    text = "precision_bits,feedback_snr_db,reference_ber\n64,inf,1e-6\n8,20,0.5\n"
+    bom = tmp_path / "bom.csv"
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_reference_table(bom) == read_reference_table(_write_reference(tmp_path, text))
 
 
 def test_reference_table_duplicate_names_both_lines(tmp_path):
