@@ -8,7 +8,8 @@ Library layout:
     codec      the SK recursion (both variants), analytic BER oracle
     engine     BER estimation, the three sweeps and gamma optimization,
                returning CSV rows; SKFB_THREADS caps their worker pool
-    records    CSV records and the external reference-BER table
+    records    CSV records, and the reader of the external reference-BER
+               table, a dict keyed by (width, feedback SNR)
     cli        the ``skfb`` command-line tool
 """
 
@@ -38,7 +39,6 @@ from .engine import (  # noqa: F401
     sweep_precision_grid,
 )
 from .records import (  # noqa: F401
-    ReferenceTable,
     RunRecord,
     read_reference_table,
     write_csv,

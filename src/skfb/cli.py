@@ -10,9 +10,9 @@ error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
-from dataclasses import fields
 
 from . import __version__
 from .channel import snr_db_error
@@ -20,7 +20,7 @@ from .codec import analytic_ber_oracle, schedule
 from .core import BitMapping, SkConfig, SkVariant, seed_error
 from .engine import (count_error, estimate_ber, optimize_gamma, rate_error, sweep_block_length,
                      sweep_feedback_snr, sweep_precision_grid)
-from .precision import WIDTHS, PrecisionMode, width_error
+from .precision import WIDTHS, width_error
 from .records import (
     OracleRecord,
     RunRecord,
@@ -112,7 +112,8 @@ _FLAGS = {
         type=_list_of(_snr), required=True, help="comma-separated feedback SNRs in dB"
     ),
     "--precision": dict(
-        type=_width, default=_DEFAULT.precision.width,
+        dest="precision_bits", metavar="PRECISION", type=_width,
+        default=_DEFAULT.precision.width,
         help=f"emulated arithmetic width: {', '.join(map(str, WIDTHS))} (default: %(default)s)",
     ),
     "--precisions": dict(
@@ -147,16 +148,23 @@ _EXCLUSIVE = ("--n", "--rate")
 
 
 def _config_from_args(args) -> SkConfig:
-    """The cell the flags describe.  A field whose flag the subcommand
-    does not take keeps SkConfig's default, as the flag's default does."""
-    cfg = {f.name: getattr(args, f.name) for f in fields(SkConfig) if hasattr(args, f.name)}
-    for name, kind in (("variant", SkVariant), ("precision", PrecisionMode),
-                       ("bit_mapping", BitMapping)):
-        if name in cfg:
-            cfg[name] = kind(cfg[name])
+    """The cell the flags describe, read as a record's config columns;
+    its N is ``--n``, or round(K / rate) without it."""
     n = getattr(args, "n", None)  # the sweeps set each cell's N from the rate
     n_total = n if n is not None else round(args.k / args.rate)
-    return SkConfig(**cfg, n_total=n_total)
+    return config_from_record(argparse.Namespace(**vars(args), n_total=n_total))
+
+
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` path that could not be written, before any cell
+    runs; the file itself is opened only once every row is ready."""
+    folder = os.path.dirname(path) or "."  # "new/" names the folder "new"
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out {path}: no directory {folder}")
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise ValueError(f"--out {path} is not writable")
 
 
 def _emit(args, records) -> None:
@@ -276,6 +284,8 @@ def main(argv=None) -> int:
     if hasattr(args, "k_step") and args.k_max < args.k:
         args.parser.error(f"--k-max {args.k_max} is below --k-min {args.k}")
     try:
+        if args.out:
+            _check_out(args.out)
         _emit(args, args.func(args))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"skfb: error: {exc}", file=sys.stderr)

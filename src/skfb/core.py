@@ -151,33 +151,26 @@ def index_mask(k: int) -> np.uint64:
     return np.uint64((1 << k) - 1)
 
 
-def gray_encode(index):
-    """Bit label of a position under Gray labeling (m XOR m>>1)."""
+def label_of_index(index, mapping: BitMapping):
+    """Bit pattern (as an integer) carried by constellation position ``index``;
+    a K-bit label is its own low K bits, so K is not needed.  Gray labels
+    position m with m XOR m>>1."""
     m = np.asarray(index, dtype=np.uint64)
+    if mapping is BitMapping.NATURAL:
+        return m
     return m ^ (m >> np.uint64(1))
 
 
-def gray_decode(label):
-    """Position whose Gray label is ``label`` (prefix-XOR inverse)."""
-    v = np.asarray(label, dtype=np.uint64).copy()
+def index_of_label(label, mapping: BitMapping):
+    """Constellation position that carries bit pattern ``label``; under
+    Gray labeling the prefix XOR of the label, folded in six shifts."""
+    v = np.asarray(label, dtype=np.uint64)
+    if mapping is BitMapping.NATURAL:
+        return v
+    v = v.copy()
     for shift in (1, 2, 4, 8, 16, 32):
         v ^= v >> np.uint64(shift)
     return v
-
-
-def label_of_index(index, mapping: BitMapping):
-    """Bit pattern (as an integer) carried by constellation position ``index``;
-    a K-bit label is its own low K bits, so K is not needed."""
-    if mapping is BitMapping.NATURAL:
-        return np.asarray(index, dtype=np.uint64)
-    return gray_encode(index)
-
-
-def index_of_label(label, mapping: BitMapping):
-    """Constellation position that carries bit pattern ``label``."""
-    if mapping is BitMapping.NATURAL:
-        return np.asarray(label, dtype=np.uint64)
-    return gray_decode(label)
 
 
 def popcount_u64(a) -> np.ndarray:

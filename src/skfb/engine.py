@@ -35,8 +35,7 @@ from . import channel as _channel
 from . import codec as _codec
 from .core import SkConfig, index_of_label, index_to_value, label_of_index, popcount_u64
 from .precision import PrecisionMode
-from .records import (BestKRecord, GammaRecord, PhaseRecord, ReferenceTable, RunRecord,
-                      config_columns)
+from .records import BestKRecord, GammaRecord, PhaseRecord, RunRecord, config_columns
 
 CHUNK_TRIALS = 1 << 15  # fixed so results never depend on worker layout
 # noise variates per noisy channel a block may hold (16 MiB of float64)
@@ -229,7 +228,8 @@ def measure_symbol_power(cfg: SkConfig, trials: int, steps) -> dict[int, tuple[f
     the sums of the sent X_n^2 and X_n^4 are added in block order.  Blocks
     are sized by the uses walked: a walk past use 128 runs smaller blocks,
     so its float sums split at other trials.  Failed trials send 0, so
-    from the schedule's halt on the power is 0.
+    from the schedule's halt on the power is 0.  ``steps`` is an axis read
+    by :func:`_distinct`: repeats are read once, and it must be non-empty.
     """
     _check("trials", trials, count_error)
     steps = tuple(steps)
@@ -237,8 +237,8 @@ def measure_symbol_power(cfg: SkConfig, trials: int, steps) -> dict[int, tuple[f
         raise ValueError(f"steps must be integers, got {steps!r}")
     if any(not 1 <= n < cfg.n_total for n in steps):
         raise ValueError(f"steps must lie in [1, {cfg.n_total}), got {steps!r}")
-    wanted = dict.fromkeys(int(n) for n in steps)  # in order, each once
-    last = max(wanted, default=0)
+    wanted = _distinct("steps", (int(n) for n in steps))
+    last = max(wanted)
 
     def power(cfg, lo, hi, channels):
         labels = _channel.message_indices(cfg.seed, lo, hi, cfg.k)
@@ -306,13 +306,8 @@ def _run_sweep(base_cfg: SkConfig, k_values, groups, rate, trials, stop_at_error
     return [[estimate_ber(cfg, trials, stop_at_errors) for cfg in group] for group in cells]
 
 
-def sweep_block_length(
-    base_cfg: SkConfig,
-    k_range,
-    rate: float | None = None,
-    trials: int = 100_000,
-    stop_at_errors: int | None = None,
-) -> list[RunRecord]:
+def sweep_block_length(base_cfg: SkConfig, k_range, *, trials: int, rate: float | None = None,
+                       stop_at_errors: int | None = None) -> list[RunRecord]:
     """One row per K at fixed rate (default: the base config's rate).
 
     A repeated K is dropped: each keeps its first position.
@@ -339,38 +334,29 @@ def classify_cell(run: RunRecord, reference_ber: float | None) -> str:
     return TIE
 
 
-def sweep_precision_grid(
-    base_cfg: SkConfig,
-    precisions,
-    k_range,
-    reference: ReferenceTable,
-    trials: int = 100_000,
-    rate: float | None = None,
-    stop_at_errors: int | None = None,
-) -> list[PhaseRecord]:
+def sweep_precision_grid(base_cfg: SkConfig, precisions, k_range, reference: dict, *,
+                         trials: int, rate: float | None = None,
+                         stop_at_errors: int | None = None) -> list[PhaseRecord]:
     """SK-vs-reference rows over (precision, block length), precision-major.
 
-    A repeated width or K is dropped: each keeps its first position.
+    ``reference`` maps (precision_bits, feedback_snr_db) to the baseline
+    BER; a cell whose key it lacks is ``unavailable``.  A repeated width
+    or K is dropped: each keeps its first position.
     """
     modes = _distinct("precisions", (PrecisionMode(bits) for bits in precisions))
     k_values = _distinct("k_range", k_range)
     groups = [((_DOMAIN_PRECISION, mode.width), dict(precision=mode)) for mode in modes]
     rows = []
     for runs in _run_sweep(base_cfg, k_values, groups, rate, trials, stop_at_errors):
-        ref = reference.lookup(runs[0].precision_bits, base_cfg.feedback_snr_db)
+        ref = reference.get((runs[0].precision_bits, base_cfg.feedback_snr_db))
         rows += [PhaseRecord(**vars(run), reference_ber=ref, verdict=classify_cell(run, ref))
                  for run in runs]
     return rows
 
 
-def sweep_feedback_snr(
-    base_cfg: SkConfig,
-    snr_list,
-    k_candidates,
-    trials: int = 100_000,
-    rate: float | None = None,
-    stop_at_errors: int | None = None,
-) -> list[BestKRecord]:
+def sweep_feedback_snr(base_cfg: SkConfig, snr_list, k_candidates, *, trials: int,
+                       rate: float | None = None,
+                       stop_at_errors: int | None = None) -> list[BestKRecord]:
     """One row per candidate K at each feedback SNR, SNR-major, K ascending.
 
     At each SNR ``is_best`` marks the lowest BER; ties go to the smaller K.
@@ -399,13 +385,12 @@ def optimize_gamma(cfg: SkConfig, grid) -> list[GammaRecord]:
     one row has ``is_best``: grid points are ranked by the terminal
     estimate spread, the strictly monotone core of the oracle, so the
     ranking stays meaningful even where the BER itself underflows to zero,
-    and ties go to the smaller gamma.
+    and ties go to the smaller gamma.  Noisy feedback is refused, as the
+    oracle refuses it.
     """
     # SkConfig checks every entry, a repeated one too
     cells = sorted(_distinct("grid", (replace(cfg, gamma=g) for g in grid)),
                    key=lambda c: c.gamma)
-    if cfg.feedback_snr_db != math.inf:
-        raise ValueError("gamma optimization requires noiseless feedback")
     spreads = [_codec.terminal_estimate_std(c) for c in cells]
     best = spreads.index(min(spreads))  # the first minimum has the smallest gamma
     return [

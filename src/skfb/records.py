@@ -103,19 +103,21 @@ def config_columns(cfg: SkConfig, record_type) -> dict:
     return {f.name: columns[f.name] for f in fields(record_type) if f.name in columns}
 
 
-def config_from_record(rec: RunRecord) -> SkConfig:
-    """Rebuild the exact configuration a record was produced with."""
-    return SkConfig(
-        variant=SkVariant(rec.variant),
-        k=rec.k,
-        n_total=rec.n_total,
-        forward_snr_db=rec.forward_snr_db,
-        feedback_snr_db=rec.feedback_snr_db,
-        precision=PrecisionMode(rec.precision_bits),
-        gamma=rec.gamma,
-        seed=rec.seed,
-        bit_mapping=BitMapping(rec.bit_mapping),
-    )
+# the column and type of each SkConfig field not written as its own value
+_CONVERTED = {"variant": ("variant", SkVariant), "precision": ("precision_bits", PrecisionMode),
+              "bit_mapping": ("bit_mapping", BitMapping)}
+
+
+def config_from_record(rec) -> SkConfig:
+    """The configuration the config columns of ``rec`` describe: a record
+    is rebuilt exactly as it was produced, the command-line tool's parsed
+    flags give their cell.  A column ``rec`` lacks keeps SkConfig's default."""
+    cfg = {}
+    for f in fields(SkConfig):
+        column, kind = _CONVERTED.get(f.name, (f.name, None))
+        if hasattr(rec, column):
+            cfg[f.name] = kind(getattr(rec, column)) if kind else getattr(rec, column)
+    return SkConfig(**cfg)
 
 
 def _format_value(v) -> str:
@@ -151,16 +153,6 @@ def write_csv(records) -> str:
     return out.getvalue()
 
 
-@dataclass(frozen=True)
-class ReferenceTable:
-    """External (precision, feedback SNR) -> reference BER baseline."""
-
-    rows: dict[tuple[int, float], float]
-
-    def lookup(self, precision_bits: int, feedback_snr_db: float) -> float | None:
-        return self.rows.get((precision_bits, feedback_snr_db))
-
-
 REFERENCE_HEADER = ["precision_bits", "feedback_snr_db", "reference_ber"]
 
 
@@ -168,9 +160,10 @@ class ReferenceTableError(ValueError):
     """Malformed reference table file."""
 
 
-def read_reference_table(path) -> ReferenceTable:
-    """Load and validate a (precision, feedback SNR) -> BER baseline CSV;
-    widths and SNRs are checked by the rules of ``PrecisionMode`` and ``SkConfig``."""
+def read_reference_table(path) -> dict[tuple[int, float], float]:
+    """Load and validate a baseline CSV as ``{(precision_bits,
+    feedback_snr_db): reference_ber}``; widths and SNRs are checked by the
+    rules of ``PrecisionMode`` and ``SkConfig``."""
     rows: dict[tuple[int, float], float] = {}
     first_line: dict[tuple[int, float], int] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:  # a BOM is dropped
@@ -213,4 +206,4 @@ def read_reference_table(path) -> ReferenceTable:
                 )
             rows[key] = ber
             first_line[key] = lineno
-    return ReferenceTable(rows=rows)
+    return rows

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -275,7 +276,7 @@ def test_precision_flags_accept_exactly_the_four_widths():
     parser = build_parser()
     sweep = ["sweep-precision", "--k-min", "1", "--k-max", "1", "--reference", REFERENCE]
     for width in (8, 16, 32, 64):
-        assert parser.parse_args(["ber", "--precision", str(width)]).precision == width
+        assert parser.parse_args(["ber", "--precision", str(width)]).precision_bits == width
     assert parser.parse_args([*sweep, "--precisions", "8,16,32,64"]).precisions == [8, 16, 32, 64]
     assert parser.parse_args(sweep).precisions == [8, 16, 32, 64]
     for value in ("4", "12", "16.0", "128"):
@@ -461,6 +462,37 @@ def test_out_file_and_reference_flow(capsys, tmp_path):
     assert len(rows) == 4
     assert all(r["verdict"] == "sk_wins" for r in rows)
     assert all(r["reference_ber"] == "1.0" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "case", ["missing-directory", "a-directory", "a-missing-directory", "unwritable"])
+def test_a_bad_out_path_is_refused_before_any_cell_runs(case, capsys, tmp_path):
+    out = {"missing-directory": tmp_path / "missing" / "x.csv", "a-directory": tmp_path,
+           "a-missing-directory": f"{tmp_path}/missing/", "unwritable": tmp_path / "x.csv"}[case]
+    with mock.patch("skfb.cli.estimate_ber") as run, \
+            mock.patch("skfb.cli.os.access", return_value=case != "unwritable"):
+        code = main(["ber", "--k", "1", "--trials", "10", "--out", str(out)])
+    assert code == 1
+    assert run.call_count == 0
+    assert f"skfb: error: --out {out}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_a_run_that_fails_leaves_the_out_file_as_it_was(capsys, tmp_path):
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_text("earlier rows\n", encoding="utf-8")
+    for out in (kept, fresh):
+        assert main(["ber", "--k", "65", "--trials", "10", "--out", str(out)]) == 1
+        assert "k must be in [1, 64], got 65" in capsys.readouterr().err
+    assert kept.read_text(encoding="utf-8") == "earlier rows\n"
+    assert not fresh.exists()
+
+
+def test_optimize_gamma_refuses_noisy_feedback(capsys):
+    code = main(["optimize-gamma", "--k", "2", "--feedback-snr-db", "20", "--gamma-grid", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "skfb: error: analytic oracle requires noiseless feedback\n")
 
 
 def test_variant_flag_values(capsys):

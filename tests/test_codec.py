@@ -534,6 +534,14 @@ def test_each_gamma_entry_is_checked_as_sk_config_checks_it(grid):
         optimize_gamma(SkConfig(k=2, n_total=6), grid)
 
 
+def test_optimize_gamma_refuses_noisy_feedback_as_the_oracle_does():
+    cfg = SkConfig(k=2, n_total=6, feedback_snr_db=20.0)
+    with pytest.raises(ValueError, match="^analytic oracle requires noiseless feedback$"):
+        analytic_ber_oracle(cfg)
+    with pytest.raises(ValueError, match="^analytic oracle requires noiseless feedback$"):
+        optimize_gamma(cfg, [0.5, 1.0])
+
+
 def test_optimize_gamma_rejects_bad_grids():
     with pytest.raises(ValueError, match="^grid must be non-empty$"):
         optimize_gamma(SkConfig(k=2, n_total=6), [])

@@ -78,6 +78,19 @@ def test_gray_adjacent_positions_differ_in_one_bit():
         assert np.all(flips == 1)
 
 
+def test_gray_labels_round_trip_and_step_one_bit_at_k64():
+    # positions with the top bit set exercise every fold of the decode,
+    # the 32-bit shift included
+    top = np.uint64(1 << 63)
+    index = RNG.integers(0, 1 << 63, size=4096, dtype=np.uint64) | top
+    # the last position is 2^64 - 1, whose successor does not fit
+    index = np.append(np.minimum(index, np.uint64(2**64 - 2)), [top - np.uint64(1), top])
+    labels = label_of_index(index, BitMapping.GRAY)
+    assert np.array_equal(index_of_label(labels, BitMapping.GRAY), index)
+    successors = label_of_index(index + np.uint64(1), BitMapping.GRAY)
+    assert np.all(popcount_u64(labels ^ successors) == 1)
+
+
 def test_midway_tie_goes_to_lower_index():
     # exactly between positions 1 and 2 of the 4-PAM grid
     assert int(value_to_index(0.0, 2)) == 1

@@ -42,7 +42,7 @@ from skfb.engine import (
     UNAVAILABLE,
 )
 from skfb.precision import PrecisionMode, quantize
-from skfb.records import BestKRecord, PhaseRecord, ReferenceTable, RunRecord
+from skfb.records import BestKRecord, PhaseRecord, RunRecord
 
 
 def _without_wall_time(rows):
@@ -420,7 +420,7 @@ def test_no_more_threads_than_workers_derive_noise_or_simulate_at_once():
     assert rows[1] == rows[2] == rows[5]
 
 
-_TABLE = ReferenceTable(rows={(64, math.inf): 1e-3})
+_TABLE = {(64, math.inf): 1e-3}
 
 
 @pytest.mark.parametrize(
@@ -472,7 +472,7 @@ def test_repeated_feedback_snrs_are_dropped():
 
 
 def test_repeated_precisions_are_dropped():
-    table = ReferenceTable(rows={(64, math.inf): 1.0, (8, math.inf): 1.0})
+    table = {(64, math.inf): 1.0, (8, math.inf): 1.0}
     base = SkConfig(k=1, seed=12)
     repeated = sweep_precision_grid(base, [64, 8, 64, 8], [1, 2], table, trials=2000)
     once = sweep_precision_grid(base, [64, 8], [1, 2], table, trials=2000)
@@ -482,7 +482,7 @@ def test_repeated_precisions_are_dropped():
 
 
 def test_repeated_k_values_are_dropped():
-    table = ReferenceTable(rows={(64, math.inf): 1.0})
+    table = {(64, math.inf): 1.0}
     base = SkConfig(k=1, seed=3)
     for sweep in (
         lambda ks: sweep_block_length(base, ks, trials=500),
@@ -491,6 +491,26 @@ def test_repeated_k_values_are_dropped():
         repeated, once = sweep([3, 2, 3, 2]), sweep([3, 2])
         assert [r.k for r in repeated] == [3, 2]
         assert _without_wall_time(repeated) == _without_wall_time(once)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda base: sweep_block_length(base, [1], 1 / 3, 10),
+        lambda base: sweep_block_length(base, [1]),
+        lambda base: sweep_precision_grid(base, [64], [1], {}, 10, 1 / 3),
+        lambda base: sweep_precision_grid(base, [64], [1], {}),
+        lambda base: sweep_feedback_snr(base, [20.0], [1], 10, 1 / 3),
+        lambda base: sweep_feedback_snr(base, [20.0], [1]),
+    ],
+    ids=["sweep-k-positional", "sweep-k-no-trials", "precision-positional",
+         "precision-no-trials", "feedback-positional", "feedback-no-trials"],
+)
+def test_a_sweeps_run_options_are_keywords_and_trials_has_no_default(call):
+    calls, patch = _recorded_chunks()
+    with patch, pytest.raises(TypeError):
+        call(SkConfig(k=1, seed=1))
+    assert calls == []
 
 
 def test_a_non_integer_k_fails_the_sweep():
@@ -586,7 +606,7 @@ def test_sweep_block_length_rejects_empty_range():
     ids=["precisions", "k-range", "both"],
 )
 def test_an_empty_precision_grid_names_its_parameter(precisions, k_range, name):
-    table = ReferenceTable(rows={})
+    table = {}
     with pytest.raises(ValueError, match=f"^{name} must be non-empty$"):
         sweep_precision_grid(SkConfig(k=1), precisions, k_range, table, trials=10)
 
@@ -608,7 +628,7 @@ def test_classify_cell_rules():
 
 def test_sweep_precision_grid_trivial_reference():
     # a reference of 1.0 everywhere loses to any observed BER
-    table = ReferenceTable(rows={(64, math.inf): 1.0, (32, math.inf): 1.0})
+    table = {(64, math.inf): 1.0, (32, math.inf): 1.0}
     base = SkConfig(k=1, seed=6)
     rows = sweep_precision_grid(base, [64, 32], [1, 2], table, trials=5000)
     assert [(r.precision_bits, r.k) for r in rows] == [(64, 1), (64, 2), (32, 1), (32, 2)]
@@ -619,7 +639,7 @@ def test_sweep_precision_grid_trivial_reference():
 
 
 def test_sweep_precision_grid_missing_reference_row():
-    table = ReferenceTable(rows={(64, math.inf): 1e-6})
+    table = {(64, math.inf): 1e-6}
     rows = sweep_precision_grid(SkConfig(k=1, seed=6), [64, 8], [1], table, trials=2000)
     verdicts = {r.precision_bits: r.verdict for r in rows}
     assert verdicts[64] in (SK_WINS, REFERENCE_WINS, TIE)
@@ -694,6 +714,13 @@ def test_monotone_in_forward_and_feedback_snr():
     assert fb[0] >= fb[1] >= fb[2]
 
 
+def test_measure_symbol_power_refuses_empty_steps_before_any_work():
+    with mock.patch.object(engine, "_map_chunks") as run, \
+            pytest.raises(ValueError, match="^steps must be non-empty$"):
+        measure_symbol_power(SkConfig(k=2, n_total=6), 100, [])
+    assert run.call_count == 0
+
+
 def test_measure_symbol_power_validates_steps():
     with pytest.raises(ValueError):
         measure_symbol_power(SkConfig(k=2, n_total=6), 100, [0])
@@ -711,7 +738,7 @@ def test_measure_symbol_power_validates_steps():
     assert all(type(step) is int for step in numpy_steps)
 
 
-@pytest.mark.parametrize("steps", [(), (2,), (1, 4, 3)])
+@pytest.mark.parametrize("steps", [(1,), (2,), (1, 4, 3)])
 def test_measure_symbol_power_derives_only_the_uses_it_walks(steps):
     cfg = SkConfig(k=2, n_total=6, feedback_snr_db=20.0, seed=9)  # two noisy roles
     with mock.patch.object(
@@ -722,16 +749,16 @@ def test_measure_symbol_power_derives_only_the_uses_it_walks(steps):
     for call in spy.call_args_list:
         _, role, lo, hi, _, out = call.args
         variates[role] += (hi - lo) * out.shape[0]
-    uses = max(steps, default=0) + 1
+    uses = max(steps) + 1
     assert variates == {channel.ROLE_FORWARD: 200 * uses, channel.ROLE_FEEDBACK: 200 * uses}
 
 
-@pytest.mark.parametrize("steps", [(), (2,), (1, 4, 3)])
+@pytest.mark.parametrize("steps", [(1,), (2,), (1, 4, 3)])
 def test_measure_symbol_power_steps_each_chunk_to_its_last_step(steps):
     with mock.patch.object(engine, "CHUNK_TRIALS", 64):  # seven blocks of 32
         with mock.patch.object(codec, "sk_step", wraps=codec.sk_step) as spy:
             measure_symbol_power(SkConfig(k=2, n_total=6), 200, steps)
-    assert spy.call_count == 7 * max(steps, default=0)
+    assert spy.call_count == 7 * max(steps)
 
 
 def test_symbol_power_does_not_depend_on_the_worker_count():

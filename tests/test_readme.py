@@ -2,12 +2,14 @@
 are the code's."""
 
 import argparse
+import ast
 import pathlib
 import re
 import shlex
 
 import pytest
 
+import skfb
 from skfb.channel import NOISE_PART_TRIALS
 from skfb.cli import build_parser
 from skfb.engine import BLOCK_VARIATES, CHUNK_TRIALS
@@ -25,6 +27,14 @@ def test_library_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[2].startswith("variant,k,n_total,")  # after the oracle and the row
     assert len(lines) == 2 + 1 + 21 + 1  # the sweep's header, 21 rows, print's blank line
+
+
+def test_every_name_the_library_example_imports_is_exported():
+    imports = [node for node in ast.walk(ast.parse(_block("Library", "python")))
+               if isinstance(node, ast.ImportFrom) and node.module == "skfb"]
+    names = [alias.name for node in imports for alias in node.names]
+    assert names
+    assert [name for name in names if not hasattr(skfb, name)] == []
 
 
 def test_command_line_examples_parse():

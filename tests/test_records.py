@@ -11,7 +11,6 @@ import pytest
 from skfb.core import SkConfig
 from skfb.engine import estimate_ber, sweep_precision_grid
 from skfb.records import (
-    ReferenceTable,
     ReferenceTableError,
     RunRecord,
     config_from_record,
@@ -66,7 +65,7 @@ def test_csv_shortest_roundtrip_reals():
 
 def test_a_numpy_float_is_written_as_a_plain_real():
     # numpy 2's repr of np.float64(0.001) is "np.float64(0.001)"
-    table = ReferenceTable(rows={(64, math.inf): np.float64(0.001)})
+    table = {(64, math.inf): np.float64(0.001)}
     [rec] = sweep_precision_grid(SkConfig(k=1, seed=3), [64], [1], table, trials=100)
     row = next(csv.DictReader(io.StringIO(write_csv([rec]))))
     assert row["reference_ber"] == "0.001"
@@ -109,8 +108,8 @@ def test_reference_table_single_row(tmp_path):
         tmp_path, "precision_bits,feedback_snr_db,reference_ber\n64,inf,1e-6\n"
     )
     table = read_reference_table(path)
-    assert table.lookup(64, math.inf) == 1e-6
-    assert table.lookup(32, math.inf) is None
+    assert table == {(64, math.inf): 1e-6}
+    assert table.get((32, math.inf)) is None
 
 
 def test_a_reference_table_saved_with_a_byte_order_mark_loads_as_without_one(tmp_path):
