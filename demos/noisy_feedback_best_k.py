@@ -7,7 +7,8 @@ than it helps.  The best block length therefore grows with feedback
 quality: roughly K*=2 at 23 dB, 3 at 33 dB, 4 at 40 dB (forward 0 dB,
 rate 1/3).
 
-Runtime: ~20 s at the default budget; raise TRIALS for tighter tables.
+Runtime: a few seconds at the default budget; raise TRIALS for tighter
+tables.
 """
 
 import sys

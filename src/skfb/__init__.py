@@ -11,6 +11,9 @@ Library layout:
     records    CSV records, and the reader of the external reference-BER
                table, a dict keyed by (width, feedback SNR)
     cli        the ``skfb`` command-line tool
+
+The top level exports the experiment API; the channel and codec
+building blocks are imported from their own modules.
 """
 
 __version__ = "0.1.0"
@@ -23,13 +26,7 @@ from .core import (  # noqa: F401
     pam_step,
 )
 from .precision import PrecisionMode, quantize  # noqa: F401
-from .channel import AwgnChannel, make_channels  # noqa: F401
-from .codec import (  # noqa: F401
-    SkState,
-    analytic_ber_oracle,
-    sk_init,
-    sk_step,
-)
+from .codec import analytic_ber_oracle  # noqa: F401
 from .engine import (  # noqa: F401
     estimate_ber,
     measure_symbol_power,

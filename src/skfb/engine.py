@@ -3,13 +3,15 @@
 Noise and messages for trial ``i`` are pure functions of (config seed,
 i).  One block mapper, :func:`_map_chunks`, runs each per-trial reduction
 (BER counts, symbol power) over contiguous blocks of at most half a
-``CHUNK_TRIALS`` chunk and sums the results in block order.  A block's
+``CHUNK_TRIALS`` chunk and sums the results in block order.  It is the
+one place a block's inputs are derived: a reducer receives the block's
+message labels and its finished channel pair as values.  A block's
 recursion is many short numpy calls that hold the GIL, so it runs once,
-on the calling thread; its noise, which releases the GIL, is derived in
-parts on every worker, one block ahead.  Results are bit-identical for
-any worker count; the ``SKFB_THREADS`` environment variable caps the
-worker count, the calling thread included, for the library as for the
-command-line tool.
+on the calling thread, as do its labels; its noise, which releases the
+GIL, is derived in parts on every worker, one block ahead.  Results are
+bit-identical for any worker count; the ``SKFB_THREADS`` environment
+variable caps the worker count, the calling thread included, for the
+library as for the command-line tool.
 
 ``estimate_ber`` runs one cell and returns the timed CSV row the
 command-line tool prints.  Each of the three sweeps is the one
@@ -94,70 +96,45 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chunk(cfg: SkConfig, lo: int, hi: int, channels) -> dict:
-    """Simulate trials [lo, hi); returns their integer counts.
+def _run_chunk(cfg: SkConfig, lo: int, hi: int, labels, channels) -> dict:
+    """Bit-error and failed-trial counts of trials [lo, hi), whose message
+    labels are ``labels``.
 
-    ``channels()`` returns the block's channel pair once its noise is
-    derived.  ``channels`` is None exactly when the cell's schedule halts
-    before the last use, which :func:`estimate_ber` decides once per cell:
-    the block is then decided from its message labels alone, since every
-    trial fails and decodes to position 0, and no step is run.
+    ``channels`` is None exactly when the cell's schedule halts before
+    the last use, which :func:`estimate_ber` decides once per cell: the
+    block is then decided from its labels alone, since every trial fails
+    and decodes to position 0, and no step is run.
     """
-    labels = _channel.message_indices(cfg.seed, lo, hi, cfg.k)
     if channels is None:
         idx = np.zeros(hi - lo, dtype=np.uint64)
         failed = np.ones(hi - lo, dtype=bool)
     else:
         theta = index_to_value(index_of_label(labels, cfg.bit_mapping), cfg.k)
-        idx, failed = _codec.run_block(cfg, theta, channels())
+        idx, failed = _codec.run_block(cfg, theta, channels)
     errors = popcount_u64(labels ^ label_of_index(idx, cfg.bit_mapping))
-    return {
-        "trials": hi - lo,
-        "bit_errors": int(errors.sum()),
-        "failed": int(np.count_nonzero(failed)),
-    }
-
-
-def _start_noise(submit, cfg: SkConfig, lo: int, hi: int, uses: int):
-    """Submit the noise parts of the first ``uses`` channel uses of trials
-    [lo, hi); returns a call that finishes them on this thread and returns
-    the channel pair.
-
-    The call runs the parts no pool thread has started, newest first, then
-    waits for the rest, so no more threads derive at once than there are
-    workers.
-    """
-    parts = []
-    channels = _channel.make_channels(cfg, lo, hi, parts, uses)
-    futures = [submit(part) for part in parts]
-
-    def finish():
-        for future, part in zip(futures[::-1], parts[::-1]):
-            if future.cancel():  # no pool thread has started it
-                part()
-        for future in futures:
-            if not future.cancelled():
-                future.result()  # waits, and raises what the part raised
-        return channels
-
-    return finish
+    return {"bit_errors": int(errors.sum()), "failed": int(np.count_nonzero(failed))}
 
 
 def _map_chunks(cfg: SkConfig, trials: int, reduce, uses: int, stop_at_errors=None) -> Counter:
-    """``reduce(cfg, lo, hi, channels)`` summed over blocks, in block order.
+    """``reduce(cfg, lo, hi, labels, channels)`` summed over blocks, in
+    block order, plus ``trials``, the number of trials reduced.
 
-    A block is half a ``CHUNK_TRIALS`` chunk, halved while it would hold
-    more than ``BLOCK_VARIATES`` variates (``uses`` per trial) per noisy
-    channel but never below two ``channel.NOISE_PART_TRIALS`` parts, so
-    blocks tile the chunk grid and two workers can derive a block's noise
-    at once.  The block in flight and the next one hold at most
-    twice the budget, or four parts past
-    ``BLOCK_VARIATES / (2 * NOISE_PART_TRIALS)`` uses.  A block's reduction
-    runs on this thread; the next block's noise parts are submitted before
-    it starts and run on ``workers - 1`` pool threads and on this one.
-    They derive the first ``uses`` channel uses; with ``uses`` 0 no noise
-    is derived and ``channels`` is None.  With ``stop_at_errors`` the stop
-    is decided on the cumulative ``bit_errors`` where a block ends on the
+    A reducer is a function of its block, trials [lo, hi): ``labels`` are
+    their message labels and ``channels`` their finished channel pair,
+    holding the noise of the first ``uses`` channel uses, or None when
+    ``uses`` is 0 and no noise is derived.  A block is half a
+    ``CHUNK_TRIALS`` chunk, halved while it would hold more than
+    ``BLOCK_VARIATES`` variates (``uses`` per trial) per noisy channel but
+    never below two ``channel.NOISE_PART_TRIALS`` parts, so blocks tile
+    the chunk grid and two workers can derive a block's noise at once.
+    The block in flight and the next one hold at most twice the budget,
+    or four parts past ``BLOCK_VARIATES / (2 * NOISE_PART_TRIALS)`` uses.
+    For each block this thread submits the next block's noise parts to
+    ``workers - 1`` pool threads, derives the block's labels, runs the
+    block's parts no pool thread has started, newest first, and waits for
+    the rest, so no more threads derive at once than there are workers;
+    then it reduces the block.  With ``stop_at_errors`` the stop is
+    decided on the cumulative ``bit_errors`` where a block ends on the
     chunk grid, so the cut point does not depend on the worker count and
     no reduced trial is discarded; the noise parts no thread has started
     are dropped, and those in flight finish before this returns.
@@ -173,18 +150,33 @@ def _map_chunks(cfg: SkConfig, trials: int, reduce, uses: int, stop_at_errors=No
         # thread runs every part and no thread starts
         submit = pool.submit if workers > 1 else lambda part: Future()
 
-        def noise(lo):  # of the block that starts at lo
-            return _start_noise(submit, cfg, lo, min(lo + block, trials), uses) if uses else None
+        def noise(lo):  # the block at lo's channel pair and its submitted noise parts
+            if not uses:
+                return None, []
+            parts = []
+            channels = _channel.make_channels(cfg, lo, min(lo + block, trials), parts, uses)
+            return channels, [(submit(part), part) for part in parts]
 
-        channels = noise(0)
+        def finished(channels, jobs):  # its own scope, so no loop name keeps a used block alive
+            for future, part in jobs[::-1]:
+                if future.cancel():  # no pool thread has started it
+                    part()
+            for future, _ in jobs:
+                if not future.cancelled():
+                    future.result()  # waits, and raises what the part raised
+            return channels
+
+        pending = noise(0)
         for lo in range(0, trials, block):
             hi = min(lo + block, trials)
-            ahead = noise(hi) if hi < trials else None
-            totals.update(reduce(cfg, lo, hi, channels))
+            ahead = noise(hi) if hi < trials else (None, [])
+            labels = _channel.message_indices(cfg.seed, lo, hi, cfg.k)
+            totals.update(reduce(cfg, lo, hi, labels, finished(*pending)))
+            totals["trials"] += hi - lo
             if stop_at_errors is not None and hi % CHUNK_TRIALS == 0 \
                     and totals["bit_errors"] >= stop_at_errors:
                 break
-            channels = ahead
+            pending = ahead
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     return totals
@@ -240,11 +232,10 @@ def measure_symbol_power(cfg: SkConfig, trials: int, steps) -> dict[int, tuple[f
     wanted = _distinct("steps", (int(n) for n in steps))
     last = max(wanted)
 
-    def power(cfg, lo, hi, channels):
-        labels = _channel.message_indices(cfg.seed, lo, hi, cfg.k)
+    def power(cfg, lo, hi, labels, channels):
         theta = index_to_value(index_of_label(labels, cfg.bit_mapping), cfg.k)
         sums = {}
-        for state in _codec.block_states(cfg, theta, channels()):
+        for state in _codec.block_states(cfg, theta, channels):
             if state.step in wanted:
                 sums[state.step, 2] = float(np.sum(state.x * state.x))
                 sums[state.step, 4] = float(np.sum(state.x**4))

@@ -1,5 +1,5 @@
-"""Every demo imports against the current library without running; the
-closed-form demo also prints its recorded output."""
+"""Every demo imports against the current library and prints its
+recorded output."""
 
 import importlib.util
 import pathlib
@@ -28,10 +28,10 @@ def test_demo_imports(path):
     assert callable(_load(path).main)
 
 
-def test_power_allocation_matches_golden(capsys):
-    # closed form only, so every byte is fixed; the golden file is the
-    # demo's stdout
-    module = _load(HERE.parent / "demos" / "power_allocation.py")
-    assert module.main() == 0
-    want = (HERE / "golden" / "power_allocation.txt").read_text(encoding="utf-8")
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_output_matches_golden(path, capsys):
+    # every demo's table is a pure function of its fixed seeds and
+    # budgets, for any worker count; the golden file is its stdout
+    assert _load(path).main() == 0
+    want = (HERE / "golden" / f"{path.stem}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want

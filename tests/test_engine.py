@@ -215,15 +215,44 @@ def _recorded_chunks():
     """Patch ``_run_chunk`` to record (lo, hi, thread id) of every call."""
     calls, lock, run_chunk = [], threading.Lock(), engine._run_chunk
 
-    def record(cfg, lo, hi, channels):
+    def record(cfg, lo, hi, labels, channels):
         with lock:
             calls.append((lo, hi, threading.get_ident()))
-        return run_chunk(cfg, lo, hi, channels)
+        return run_chunk(cfg, lo, hi, labels, channels)
 
     return calls, mock.patch.object(engine, "_run_chunk", record)
 
 
 _STOPPING = SkConfig(k=2, n_total=6, forward_snr_db=-10.0, seed=3)  # high BER
+
+
+@pytest.mark.parametrize("stop_at_errors", [None, 150], ids=["whole", "stops"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("cfg", [replace(_STOPPING, feedback_snr_db=10.0), _HALTING[0]],
+                         ids=["noisy-feedback", "halting"])
+def test_the_mapper_hands_each_reducer_its_labels_and_finished_channels(cfg, workers,
+                                                                        stop_at_errors):
+    uses = 0 if schedule(cfg).halt < cfg.n_total else cfg.n_total
+    calls = []
+
+    def spy(got_cfg, lo, hi, labels, channels):
+        assert got_cfg is cfg
+        assert np.array_equal(labels, message_indices(cfg.seed, lo, hi, cfg.k))
+        if uses:
+            for got, want in zip(channels, make_channels(cfg, lo, hi, uses=uses), strict=True):
+                assert got.sigma == want.sigma and np.array_equal(got.noise, want.noise)
+        else:
+            assert channels is None
+        calls.append((lo, hi))
+        return {"bit_errors": 100}
+
+    trials = 64 * 3 + 5
+    with mock.patch.object(engine, "CHUNK_TRIALS", 64), \
+            mock.patch.object(channel, "NOISE_PART_TRIALS", 8), _threads(workers):
+        totals = engine._map_chunks(cfg, trials, spy, uses, stop_at_errors)
+    ran = 64 if stop_at_errors else trials  # two blocks of 100 errors reach 150
+    assert calls == [(lo, min(lo + 32, ran)) for lo in range(0, ran, 32)]
+    assert totals == Counter(trials=ran, bit_errors=100 * len(calls))
 
 
 @pytest.mark.parametrize("stop_at_errors", [1, 150])
