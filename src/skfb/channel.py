@@ -8,16 +8,58 @@ the inverse normal CDF applied to 53-bit uniforms, so consumption per
 step is fixed.  A block of noise is stored step-major, so each channel
 use reads one contiguous column.  A channel is a noise standard
 deviation and such a block; a noiseless link (SNR +inf) has none.
+
+``ndtri`` here and the codec's ``ndtr`` come from ``ufuncs``, scipy's
+compiled ufunc module, loaded without running ``scipy.special``'s
+package start-up (see :func:`_load_ufuncs`).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+
+
+def _load_ufuncs():
+    """``scipy.special._ufuncs``, the compiled module that defines ``ndtri``
+    and ``ndtr``, without executing ``scipy/special/__init__.py``.
+
+    That ``__init__`` sets up scipy's array-API dispatch, which imports
+    ``numpy.testing``, ``numpy.f2py`` and ``numpy.ma``: most of a run's
+    start-up time and about 13 MB of memory, none of it used here.  The
+    package re-exports these ufuncs unwrapped, so ``scipy.special.ndtri is
+    scipy.special._ufuncs.ndtri``.  An unexecuted package module is put in
+    ``sys.modules`` only while ``_ufuncs`` loads; a later ``import
+    scipy.special`` runs the real ``__init__``, which reuses the loaded
+    ``_ufuncs``.  If ``scipy.special`` is already imported, or the direct
+    load raises ``ImportError``, the package's own ufuncs are used.
+
+    Limits: the direct load is verified on scipy 1.17.1 only (pyproject
+    allows scipy >= 1.10; other layouts take the fallback), and while this
+    module is first being imported, another thread that imports
+    ``scipy.special`` at that moment could see the unexecuted module.
+    """
+    if "scipy.special" in sys.modules:
+        return sys.modules["scipy.special"]
+    try:
+        package = importlib.util.module_from_spec(importlib.util.find_spec("scipy.special"))
+        sys.modules["scipy.special"] = package
+        try:
+            return importlib.import_module("scipy.special._ufuncs")
+        finally:
+            del sys.modules["scipy.special"]
+    except ImportError:
+        return importlib.import_module("scipy.special")
+
+
+ufuncs = _load_ufuncs()
+ndtri = ufuncs.ndtri
 
 # channel / stream roles (spawn keys off the master seed)
 ROLE_FORWARD = 0
@@ -105,7 +147,9 @@ def standard_normals(
         hi = min(lo + tile, n_trials)
         r = raw_stream(master_seed, role, (trial_lo + lo) * stride, (hi - lo) * stride)
         r = r.reshape(hi - lo, stride)
-        # (r >> 11) + 0.5 scaled by 2^-53 lies strictly inside (0, 1)
+        # (r >> 11) + 0.5 scaled by 2^-53 lies inside (0, 1) for every word
+        # but the top 2^11: (2^53 - 1) + 0.5 rounds to 2^53 (ties to even),
+        # so they give u = 1.0 and z = +inf, once in 2^53 variates
         r >>= np.uint64(11)
         u = np.array(r[:, :uses].T, dtype=np.float64, order="C")
         u += 0.5

@@ -26,8 +26,11 @@ symbol sent; as feedback, the transmitter's copy is the receiver's.
 
 State fields are arrays over a block of trials; a block of one gives the
 single-trial view.  Trials whose state goes non-finite are flagged
-failed, transmit zeros from then on, and decode to position 0, so every
-channel output is finite (``SkConfig`` bounds the noise variance).
+failed, transmit zeros from then on, and decode to position 0.  A
+forward channel output is finite unless its noise variate is +inf (once
+in 2^53 variates, see ``channel.standard_normals``): the receiver's
+estimate then fails that trial, and a noisy feedback link is fed 0 in
+its place, so the rest of the block runs on unchanged.
 
 ``block_states`` is the one loop over a block's channel uses; it yields
 the state after each use, whose ``SkState.x`` is the symbol that use sent.
@@ -40,11 +43,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import channel as _channel
 from .core import BitMapping, SkConfig, SkVariant, pam_step, value_to_index
 from .precision import quantize
+
+ndtr = _channel.ufuncs.ndtr
 
 SIGNAL_POWER = 1.0  # per-symbol power constraint P
 
@@ -134,6 +138,22 @@ class SkState:
     step: int  # index of the last channel use, in [0, n_total)
 
 
+def _fed_back(feedback: _channel.AwgnChannel, y, step: int) -> np.ndarray:
+    """The feedback link's output for the receiver's ``y`` at use ``step``.
+
+    A non-finite y has already failed its trial through theta_hat_rx, so
+    it is fed back as 0 and fails that trial alone.  The link's own
+    finiteness check finds it, so a finite ``y`` takes no extra pass.
+    """
+    try:
+        return feedback.transmit(y, step)
+    except ValueError:
+        finite = np.isfinite(y)
+        if finite.all():
+            raise
+        return feedback.transmit(np.where(finite, y, 0.0), step)
+
+
 def sk_init(theta, cfg: SkConfig, channels) -> SkState:
     """Run the first channel use: X_0 = sqrt(gamma) * theta.
 
@@ -156,7 +176,7 @@ def sk_init(theta, cfg: SkConfig, channels) -> SkState:
         if feedback is None:
             y0_fb, theta_hat_tx = y0, theta_hat_rx
         else:
-            y0_fb = quantize(feedback.transmit(y0, 0), mode)
+            y0_fb = quantize(_fed_back(feedback, y0, 0), mode)
             theta_hat_tx = quantize(y0_fb / sqrt_gamma, mode)
         # error-recursion seed U_1 = (Ytilde_0 - X_0) / sqrt(gamma)
         u = quantize(quantize(y0_fb - x0, mode) / sqrt_gamma, mode)
@@ -215,7 +235,7 @@ def sk_step(state: SkState, cfg: SkConfig, channels) -> SkState:
         if feedback is None:  # the transmitter's copy is the receiver's
             y_fb, theta_hat_tx = y, theta_hat_rx
         else:
-            y_fb = quantize(feedback.transmit(y, n), mode)
+            y_fb = quantize(_fed_back(feedback, y, n), mode)
             theta_hat_tx = quantize(state.theta_hat_tx - quantize(beta * y_fb, mode), mode)
             failed |= ~np.isfinite(theta_hat_tx)
 

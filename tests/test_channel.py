@@ -1,6 +1,8 @@
 """Noise-stream determinism, statistics, and channel contracts."""
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -192,3 +194,62 @@ def test_message_indices_full_width():
     v = message_indices(SEED, 0, 1000, 64)
     assert v.dtype == np.uint64
     assert len(np.unique(v)) == 1000  # collisions vanish at 64 bits
+
+
+def test_the_largest_philox_word_gives_an_infinite_variate():
+    # (2^53 - 1) + 0.5 rounds to 2^53, so u = 1.0 and ndtri(u) = +inf; the
+    # codec fails that trial alone (test_codec's infinite-variate test)
+    words = np.array([0, 2**64 - 2**11 - 1, 2**64 - 2**11, 2**64 - 1, 0, 1, 2, 3], dtype=np.uint64)
+    with mock.patch.object(channel, "raw_stream", lambda *args: words.copy()):
+        z = standard_normals(SEED, ROLE_FORWARD, 0, 2, 4)
+    assert np.array_equal(np.isinf(z), [[False, False, True, True], [False] * 4])
+    assert z[0, 2] == z[0, 3] == math.inf
+
+
+def _fresh_interpreter(code: str) -> None:
+    # the test process has imported scipy.special itself, so a fresh one
+    # shows what importing skfb loads
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_tool_leaves_scipy_special_unexecuted():
+    _fresh_interpreter(
+        "import sys, skfb.cli\n"
+        "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'\n"
+        "assert 'scipy.special._ufuncs' in sys.modules\n"
+    )
+
+
+def test_a_later_import_of_scipy_special_shares_the_loaded_ufuncs():
+    _fresh_interpreter(
+        "import skfb.cli, scipy.special\n"
+        "from skfb import channel, codec\n"
+        "assert channel.ndtri is scipy.special.ndtri and codec.ndtr is scipy.special.ndtr\n"
+        "assert channel.ufuncs is scipy.special._ufuncs\n"
+        "assert 'erfinv' in scipy.special.__all__  # the package's __init__ ran\n"
+    )
+
+
+def test_a_failed_direct_load_falls_back_to_scipy_special():
+    _fresh_interpreter(
+        "import importlib, sys\n"
+        "load = importlib.import_module\n"
+        "def refuse(name, package=None):\n"
+        "    if name == 'scipy.special._ufuncs':\n"
+        "        raise ImportError('refused')\n"
+        "    return load(name, package)\n"
+        "importlib.import_module = refuse\n"
+        "from skfb import channel, codec\n"
+        "special = sys.modules['scipy.special']\n"
+        "assert 'erfinv' in special.__all__  # the executed package, not a stub\n"
+        "assert channel.ufuncs is special\n"
+        "assert channel.ndtri is special.ndtri and codec.ndtr is special.ndtr\n"
+    )
+
+
+def test_an_imported_scipy_special_is_used_as_it_is():
+    import scipy.special
+
+    assert channel._load_ufuncs() is scipy.special
+    assert channel.ndtri is scipy.special.ndtri

@@ -410,6 +410,30 @@ def test_a_trial_failing_mid_block_sends_zero_and_leaves_the_others(bits, varian
     assert same(clean_idx, idx) and same(clean_failed, failed)
 
 
+
+@pytest.mark.parametrize("feedback_snr_db", [20.0, math.inf])
+@pytest.mark.parametrize("use", [0, 2])
+@pytest.mark.parametrize("variant", list(SkVariant))
+@pytest.mark.parametrize("bits", [8, 16, 32, 64])
+def test_an_infinite_forward_variate_fails_its_trial_alone(bits, variant, use, feedback_snr_db):
+    # the largest Philox word gives z = +inf (test_channel); with a noisy
+    # feedback link the block used to abort ("channel input must be finite")
+    cfg = SkConfig(variant=variant, k=2, n_total=6, feedback_snr_db=feedback_snr_db,
+                   precision=PrecisionMode(bits), seed=bits)
+    n_trials, bad = 64, 9
+    theta = index_to_value(message_indices(cfg.seed, 0, n_trials, cfg.k), cfg.k)
+    forward, feedback = make_channels(cfg, 0, n_trials)
+    clean_idx, clean_failed = run_block(cfg, theta, (forward, feedback))
+    noise = forward.noise.copy()
+    noise[bad, use] = math.inf
+    idx, failed = run_block(cfg, theta, (AwgnChannel(forward.sigma, noise), feedback))
+
+    assert not clean_failed.any()
+    assert failed[bad] and idx[bad] == 0
+    others = np.arange(n_trials) != bad
+    assert np.array_equal(idx[others], clean_idx[others])
+    assert not failed[others].any()
+
 def test_decode_tolerates_sub_half_gap_perturbation():
     cfg = SkConfig(k=4, n_total=12, forward_snr_db=math.inf)
     channels = make_channels(cfg, 0, 16)
