@@ -10,8 +10,10 @@ use reads one contiguous column.  A channel is a noise standard
 deviation and such a block; a noiseless link (SNR +inf) has none.
 
 ``ndtri`` here and the codec's ``ndtr`` come from ``ufuncs``, scipy's
-compiled ufunc module, loaded without running ``scipy.special``'s
-package start-up (see :func:`_load_ufuncs`).
+compiled ufunc module, and the streams from numpy's ``SeedSequence`` and
+``Philox`` classes; all three modules are loaded without running their
+package's start-up, ``scipy.special``'s or ``numpy.random``'s (see
+:func:`_load_unexecuted`).
 """
 
 from __future__ import annotations
@@ -26,40 +28,50 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _load_ufuncs():
-    """``scipy.special._ufuncs``, the compiled module that defines ``ndtri``
-    and ``ndtr``, without executing ``scipy/special/__init__.py``.
+def _load_unexecuted(package: str, module: str):
+    """``package.module`` imported without executing ``package/__init__.py``.
 
-    That ``__init__`` sets up scipy's array-API dispatch, which imports
-    ``numpy.testing``, ``numpy.f2py`` and ``numpy.ma``: most of a run's
-    start-up time and about 13 MB of memory, none of it used here.  The
-    package re-exports these ufuncs unwrapped, so ``scipy.special.ndtri is
-    scipy.special._ufuncs.ndtri``.  An unexecuted package module is put in
-    ``sys.modules`` only while ``_ufuncs`` loads; a later ``import
-    scipy.special`` runs the real ``__init__``, which reuses the loaded
-    ``_ufuncs``.  If ``scipy.special`` is already imported, or the direct
-    load raises ``ImportError``, the package's own ufuncs are used.
+    skfb needs three compiled modules: ``scipy.special._ufuncs`` (``ndtri``
+    and ``ndtr``), ``numpy.random.bit_generator`` (``SeedSequence``) and
+    ``numpy.random._philox`` (``Philox``).  ``scipy.special``'s ``__init__``
+    sets up scipy's array-API dispatch, which imports ``numpy.testing``,
+    ``numpy.f2py`` and ``numpy.ma``: most of a run's start-up time and about
+    13 MB of memory.  ``numpy.random``'s loads ``mtrand``, ``_generator``
+    and four other bit generators, about 1.4 MB more at peak.  None of it
+    is used here.  An unexecuted module object stands in for ``package``
+    in ``sys.modules`` only while ``module`` loads; a later ``import
+    package`` runs the real ``__init__``, which reuses the loaded module,
+    so its names are the same objects (``numpy.random.Philox is Philox``).  If
+    ``package`` is already imported, or the direct load raises
+    ``ImportError``, the package itself is returned: the names skfb takes
+    from ``module`` are attributes of the package too.
 
-    Limits: the direct load is verified on scipy 1.17.1 only (pyproject
-    allows scipy >= 1.10; other layouts take the fallback), and while this
-    module is first being imported, another thread that imports
-    ``scipy.special`` at that moment could see the unexecuted module.
+    Limits: the direct loads are verified on scipy 1.17.1 and numpy 2.4.6
+    only (pyproject allows older versions; other layouts take the
+    fallback).  While skfb is first being imported, another thread that
+    imports either package at that moment could see the unexecuted module.
+    ``bit_generator`` imports ``secrets``, and with it OpenSSL (about
+    3.5 MB), with no fallback in numpy 2.4, so that cost stays.  A later
+    import does not bind the directly loaded modules as attributes of the
+    package (``numpy.random.bit_generator`` raises ``AttributeError``);
+    ``from numpy.random import bit_generator`` and ``sys.modules`` find them.
     """
-    if "scipy.special" in sys.modules:
-        return sys.modules["scipy.special"]
+    if package in sys.modules:
+        return sys.modules[package]
     try:
-        package = importlib.util.module_from_spec(importlib.util.find_spec("scipy.special"))
-        sys.modules["scipy.special"] = package
+        sys.modules[package] = importlib.util.module_from_spec(importlib.util.find_spec(package))
         try:
-            return importlib.import_module("scipy.special._ufuncs")
+            return importlib.import_module(f"{package}.{module}")
         finally:
-            del sys.modules["scipy.special"]
+            del sys.modules[package]
     except ImportError:
-        return importlib.import_module("scipy.special")
+        return importlib.import_module(package)
 
 
-ufuncs = _load_ufuncs()
+ufuncs = _load_unexecuted("scipy.special", "_ufuncs")
 ndtri = ufuncs.ndtri
+SeedSequence = _load_unexecuted("numpy.random", "bit_generator").SeedSequence
+Philox = _load_unexecuted("numpy.random", "_philox").Philox
 
 # channel / stream roles (spawn keys off the master seed)
 ROLE_FORWARD = 0
@@ -90,10 +102,10 @@ def snr_db_error(snr_db: float) -> str | None:
 
 
 @functools.lru_cache(maxsize=256)
-def _role_seed(master_seed: int, role: int) -> np.random.SeedSequence:
+def _role_seed(master_seed: int, role: int) -> SeedSequence:
     # a pure function of (seed, role), built once per pair rather than once
     # per noise part; a given sequence spares Philox its draw of OS entropy
-    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(role),))
+    return SeedSequence(entropy=int(master_seed), spawn_key=(int(role),))
 
 
 def raw_stream(master_seed: int, role: int, start: int, count: int) -> np.ndarray:
@@ -103,7 +115,7 @@ def raw_stream(master_seed: int, role: int, start: int, count: int) -> np.ndarra
     """
     if start % 4:
         raise ValueError("stream offsets must be 4-word aligned")
-    bg = np.random.Philox(seed=_role_seed(master_seed, role), counter=start // 4)
+    bg = Philox(seed=_role_seed(master_seed, role), counter=start // 4)
     return bg.random_raw(count)
 
 

@@ -254,7 +254,7 @@ def measure_symbol_power(cfg: SkConfig, trials: int, steps) -> dict[int, tuple[f
 
 def derive_seed(master_seed: int, *ids: int) -> int:
     """Independent sub-seed for a sweep cell, from the master seed only."""
-    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(i) for i in ids))
+    ss = _channel.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(i) for i in ids))
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -1,6 +1,7 @@
 """Noise-stream determinism, statistics, and channel contracts."""
 
 import math
+import pathlib
 import subprocess
 import sys
 from dataclasses import replace
@@ -207,49 +208,111 @@ def test_the_largest_philox_word_gives_an_infinite_variate():
 
 
 def _fresh_interpreter(code: str) -> None:
-    # the test process has imported scipy.special itself, so a fresh one
-    # shows what importing skfb loads
+    # the test process has imported scipy.special and numpy.random itself,
+    # so a fresh one shows what importing skfb loads
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_importing_the_tool_leaves_scipy_special_unexecuted():
+# package: (module, what the direct load puts in sys.modules, a check that
+# skfb's names are the package's, a check that the package's __init__ ran)
+_UNEXECUTED = {
+    "scipy.special": (
+        "_ufuncs",
+        ["scipy.special._ufuncs"],
+        "channel.ndtri is package.ndtri and codec.ndtr is package.ndtr",
+        "'erfinv' in package.__all__",
+    ),
+    "numpy.random": (
+        "_philox",
+        ["numpy.random.bit_generator", "numpy.random._philox"],
+        "channel.Philox is package.Philox and channel.SeedSequence is package.SeedSequence",
+        "callable(package.default_rng)",
+    ),
+}
+
+
+@pytest.mark.parametrize("package", list(_UNEXECUTED))
+def test_importing_the_tool_leaves_the_package_unexecuted(package):
+    _, loaded, _, _ = _UNEXECUTED[package]
     _fresh_interpreter(
         "import sys, skfb.cli\n"
-        "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'\n"
-        "assert 'scipy.special._ufuncs' in sys.modules\n"
+        f"assert {package!r} not in sys.modules, '{package} was imported'\n"
+        f"assert all(name in sys.modules for name in {loaded!r})\n"
+        "assert 'numpy.random.mtrand' not in sys.modules\n"
     )
 
 
-def test_a_later_import_of_scipy_special_shares_the_loaded_ufuncs():
+@pytest.mark.parametrize("package", list(_UNEXECUTED))
+def test_a_later_import_of_the_package_shares_the_loaded_objects(package):
+    _, loaded, same, executed = _UNEXECUTED[package]
     _fresh_interpreter(
-        "import skfb.cli, scipy.special\n"
+        "import sys, skfb.cli\n"
         "from skfb import channel, codec\n"
-        "assert channel.ndtri is scipy.special.ndtri and codec.ndtr is scipy.special.ndtr\n"
-        "assert channel.ufuncs is scipy.special._ufuncs\n"
-        "assert 'erfinv' in scipy.special.__all__  # the package's __init__ ran\n"
+        f"before = [sys.modules[name] for name in {loaded!r}]\n"
+        f"import {package}\n"
+        f"package = sys.modules[{package!r}]\n"
+        f"assert all(m is sys.modules[n] for m, n in zip(before, {loaded!r}))  # not reloaded\n"
+        f"assert {same}\n"
+        f"assert {executed}  # the package's __init__ ran\n"
     )
 
 
-def test_a_failed_direct_load_falls_back_to_scipy_special():
+@pytest.mark.parametrize("package", list(_UNEXECUTED))
+def test_a_failed_direct_load_falls_back_to_the_package(package):
+    _, _, same, executed = _UNEXECUTED[package]
     _fresh_interpreter(
         "import importlib, sys\n"
         "load = importlib.import_module\n"
         "def refuse(name, package=None):\n"
-        "    if name == 'scipy.special._ufuncs':\n"
+        f"    if name.startswith({package + '.'!r}):\n"
         "        raise ImportError('refused')\n"
         "    return load(name, package)\n"
         "importlib.import_module = refuse\n"
         "from skfb import channel, codec\n"
-        "special = sys.modules['scipy.special']\n"
-        "assert 'erfinv' in special.__all__  # the executed package, not a stub\n"
-        "assert channel.ufuncs is special\n"
-        "assert channel.ndtri is special.ndtri and codec.ndtr is special.ndtr\n"
+        f"package = sys.modules[{package!r}]\n"
+        f"assert {executed}  # the executed package, not a stand-in\n"
+        f"assert {same}\n"
     )
 
 
-def test_an_imported_scipy_special_is_used_as_it_is():
-    import scipy.special
+@pytest.mark.parametrize("package", list(_UNEXECUTED))
+def test_an_imported_package_is_used_as_it_is(package):
+    module, _, same, _ = _UNEXECUTED[package]
+    _fresh_interpreter(
+        f"import sys, {package}\n"
+        f"package = sys.modules[{package!r}]\n"
+        "from skfb import channel, codec\n"
+        f"assert sys.modules[{package!r}] is package\n"
+        f"assert channel._load_unexecuted({package!r}, {module!r}) is package\n"
+        f"assert {same}\n"
+    )
 
-    assert channel._load_ufuncs() is scipy.special
-    assert channel.ndtri is scipy.special.ndtri
+
+def test_no_command_imports_numpy_random_or_scipy_special():
+    # every subcommand and the symbol-power measurement, in one process that
+    # has imported neither package: a later np.random.<name> or
+    # scipy.special.<name> on any of these paths would import it
+    root = pathlib.Path(__file__).resolve().parent.parent
+    reference = root / "data" / "deepcode_reference_sample.csv"
+    runs = [
+        ["ber", "--k", "2", "--snr-db", "3", "--feedback-snr-db", "20", "--trials", "20"],
+        ["sweep-k", "--k-min", "1", "--k-max", "2", "--trials", "20"],
+        ["sweep-precision", "--k-min", "1", "--k-max", "2", "--precisions", "8,64",
+         "--reference", str(reference), "--trials", "20"],
+        ["sweep-feedback", "--k-max", "2", "--feedback-snr-list", "20", "--trials", "20"],
+        ["oracle", "--k", "2"],
+        ["optimize-gamma", "--k", "2", "--gamma-grid", "0.5,1"],
+    ]
+    _fresh_interpreter(
+        "import contextlib, io, sys\n"
+        "from skfb.cli import main\n"
+        "from skfb.core import SkConfig\n"
+        "from skfb.engine import measure_symbol_power\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "measure_symbol_power(SkConfig(k=2, n_total=6, feedback_snr_db=20.0), 20, [1, 5])\n"
+        "for name in ('numpy.random', 'numpy.random.mtrand', 'scipy.special'):\n"
+        "    assert name not in sys.modules, name + ' was imported'\n"
+    )
