@@ -12,8 +12,9 @@ deviation and such a block; a noiseless link (SNR +inf) has none.
 ``ndtri`` here and the codec's ``ndtr`` come from ``ufuncs``, scipy's
 compiled ufunc module, and the streams from numpy's ``SeedSequence`` and
 ``Philox`` classes; all three modules are loaded without running their
-package's start-up, ``scipy.special``'s or ``numpy.random``'s (see
-:func:`_load_unexecuted`).
+package's start-up, ``scipy.special``'s or ``numpy.random``'s, and
+``bit_generator`` against a stand-in for the ``secrets`` module it
+imports, so no process loads OpenSSL (see :func:`_load_unexecuted`).
 """
 
 from __future__ import annotations
@@ -22,13 +23,15 @@ import functools
 import importlib
 import importlib.util
 import math
+import random
 import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
 
 
-def _load_unexecuted(package: str, module: str):
+def _load_unexecuted(package: str, module: str, *stand_ins):
     """``package.module`` imported without executing ``package/__init__.py``.
 
     skfb needs three compiled modules: ``scipy.special._ufuncs`` (``ndtri``
@@ -41,36 +44,49 @@ def _load_unexecuted(package: str, module: str):
     is used here.  An unexecuted module object stands in for ``package``
     in ``sys.modules`` only while ``module`` loads; a later ``import
     package`` runs the real ``__init__``, which reuses the loaded module,
-    so its names are the same objects (``numpy.random.Philox is Philox``).  If
-    ``package`` is already imported, or the direct load raises
-    ``ImportError``, the package itself is returned: the names skfb takes
-    from ``module`` are attributes of the package too.
+    so its names are the same objects (``numpy.random.Philox is Philox``).
+    ``stand_ins`` are further (name, module) pairs that sit in
+    ``sys.modules`` over the same span, each only if ``name`` is not
+    imported yet, so an imported module is used as it is.  If ``package``
+    is already imported, or the direct load raises ``ImportError``, the
+    package itself is returned, once every stand-in is removed: the names
+    skfb takes from ``module`` are attributes of the package too.
 
     Limits: the direct loads are verified on scipy 1.17.1 and numpy 2.4.6
     only (pyproject allows older versions; other layouts take the
-    fallback).  While skfb is first being imported, another thread that
-    imports either package at that moment could see the unexecuted module.
-    ``bit_generator`` imports ``secrets``, and with it OpenSSL (about
-    3.5 MB), with no fallback in numpy 2.4, so that cost stays.  A later
-    import does not bind the directly loaded modules as attributes of the
-    package (``numpy.random.bit_generator`` raises ``AttributeError``);
-    ``from numpy.random import bit_generator`` and ``sys.modules`` find them.
+    fallback).  ``bit_generator`` runs ``from secrets import randbits``,
+    and ``secrets`` imports ``hmac`` and ``hashlib``, and with them OpenSSL
+    (about 3.7 MB); it is loaded against a stand-in ``secrets`` whose one
+    name is bound as ``secrets.py`` binds its own, ``randbits =
+    SystemRandom().getrandbits``, so it is the real function and a
+    ``SeedSequence`` given no entropy still draws it from the OS.  While
+    skfb is first being imported, another thread that imports either
+    package at that moment could see the unexecuted module, and one that
+    imports ``secrets`` would get the stand-in.  A later import does not
+    bind the directly loaded modules as attributes of the package
+    (``numpy.random.bit_generator`` raises ``AttributeError``); ``from
+    numpy.random import bit_generator`` and ``sys.modules`` find them.
     """
     if package in sys.modules:
         return sys.modules[package]
     try:
-        sys.modules[package] = importlib.util.module_from_spec(importlib.util.find_spec(package))
+        placed = [(package, importlib.util.module_from_spec(importlib.util.find_spec(package)))]
+        placed += [(name, stand_in) for name, stand_in in stand_ins if name not in sys.modules]
+        sys.modules.update(placed)
         try:
             return importlib.import_module(f"{package}.{module}")
         finally:
-            del sys.modules[package]
+            for name, _ in placed:
+                del sys.modules[name]
     except ImportError:
         return importlib.import_module(package)
 
 
 ufuncs = _load_unexecuted("scipy.special", "_ufuncs")
 ndtri = ufuncs.ndtri
-SeedSequence = _load_unexecuted("numpy.random", "bit_generator").SeedSequence
+_secrets = types.ModuleType("secrets")
+_secrets.randbits = random.SystemRandom().getrandbits  # all bit_generator takes from it
+SeedSequence = _load_unexecuted("numpy.random", "bit_generator", ("secrets", _secrets)).SeedSequence
 Philox = _load_unexecuted("numpy.random", "_philox").Philox
 
 # channel / stream roles (spawn keys off the master seed)

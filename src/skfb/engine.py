@@ -127,17 +127,20 @@ def _map_chunks(cfg: SkConfig, trials: int, reduce, uses: int, stop_at_errors=No
     ``BLOCK_VARIATES`` variates (``uses`` per trial) per noisy channel but
     never below two ``channel.NOISE_PART_TRIALS`` parts, so blocks tile
     the chunk grid and two workers can derive a block's noise at once.
-    The block in flight and the next one hold at most twice the budget,
-    or four parts past ``BLOCK_VARIATES / (2 * NOISE_PART_TRIALS)`` uses.
-    For each block this thread submits the next block's noise parts to
-    ``workers - 1`` pool threads, derives the block's labels, runs the
-    block's parts no pool thread has started, newest first, and waits for
-    the rest, so no more threads derive at once than there are workers;
-    then it reduces the block.  With ``stop_at_errors`` the stop is
-    decided on the cumulative ``bit_errors`` where a block ends on the
-    chunk grid, so the cut point does not depend on the worker count and
-    no reduced trial is discarded; the noise parts no thread has started
-    are dropped, and those in flight finish before this returns.
+    At two or more workers the block in flight and the next one hold at
+    most twice the budget, or four parts past ``BLOCK_VARIATES / (2 *
+    NOISE_PART_TRIALS)`` uses: for each block this thread submits the next
+    block's noise parts to ``workers - 1`` pool threads, derives the
+    block's labels, runs the block's parts no pool thread has started,
+    newest first, and waits for the rest, so no more threads derive at
+    once than there are workers; then it reduces the block.  At one
+    worker nothing derives ahead, so the next block's noise is allocated
+    only once the block is reduced and freed, and one block is held.
+    With ``stop_at_errors`` the stop is decided on the cumulative
+    ``bit_errors`` where a block ends on the chunk grid, so the cut point
+    does not depend on the worker count and no reduced trial is
+    discarded; the noise parts no thread has started are dropped, and
+    those in flight finish before this returns.
     """
     block = CHUNK_TRIALS // 2
     while block * uses > BLOCK_VARIATES and block // 2 >= 2 * _channel.NOISE_PART_TRIALS:
@@ -151,7 +154,7 @@ def _map_chunks(cfg: SkConfig, trials: int, reduce, uses: int, stop_at_errors=No
         submit = pool.submit if workers > 1 else lambda part: Future()
 
         def noise(lo):  # the block at lo's channel pair and its submitted noise parts
-            if not uses:
+            if not uses or lo == trials:
                 return None, []
             parts = []
             channels = _channel.make_channels(cfg, lo, min(lo + block, trials), parts, uses)
@@ -169,14 +172,15 @@ def _map_chunks(cfg: SkConfig, trials: int, reduce, uses: int, stop_at_errors=No
         pending = noise(0)
         for lo in range(0, trials, block):
             hi = min(lo + block, trials)
-            ahead = noise(hi) if hi < trials else (None, [])
+            ahead = noise(hi) if workers > 1 else None
             labels = _channel.message_indices(cfg.seed, lo, hi, cfg.k)
             totals.update(reduce(cfg, lo, hi, labels, finished(*pending)))
             totals["trials"] += hi - lo
             if stop_at_errors is not None and hi % CHUNK_TRIALS == 0 \
                     and totals["bit_errors"] >= stop_at_errors:
                 break
-            pending = ahead
+            pending = None  # at one worker the next block is allocated once this one is freed
+            pending = ahead if workers > 1 else noise(hi)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     return totals

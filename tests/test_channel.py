@@ -273,6 +273,7 @@ def test_a_failed_direct_load_falls_back_to_the_package(package):
         f"package = sys.modules[{package!r}]\n"
         f"assert {executed}  # the executed package, not a stand-in\n"
         f"assert {same}\n"
+        "assert sys.modules.get('secrets') is not channel._secrets  # removed too\n"
     )
 
 
@@ -289,10 +290,41 @@ def test_an_imported_package_is_used_as_it_is(package):
     )
 
 
-def test_no_command_imports_numpy_random_or_scipy_special():
+def test_a_seed_sequence_given_no_entropy_draws_it_from_the_os():
+    # the stand-in secrets' randbits is the one secrets.py binds
+    _fresh_interpreter(
+        "from skfb import channel\n"
+        "a, b = (channel.SeedSequence().entropy for _ in range(2))\n"
+        "assert isinstance(a, int) and a.bit_length() > 64 and a != b, (a, b)\n"
+    )
+
+
+def test_a_later_import_of_secrets_loads_the_real_module():
+    _fresh_interpreter(
+        "import sys, skfb.cli\n"
+        "from skfb import channel\n"
+        "assert 'secrets' not in sys.modules\n"
+        "import secrets, numpy.random\n"
+        "assert secrets is not channel._secrets and len(secrets.token_hex(8)) == 16\n"
+        "assert numpy.random.SeedSequence is channel.SeedSequence\n"
+    )
+
+
+def test_an_imported_secrets_module_is_used_as_it_is():
+    _fresh_interpreter(
+        "import secrets, sys\n"
+        "from skfb import channel\n"
+        "assert 'numpy.random' not in sys.modules  # still the direct load\n"
+        "assert sys.modules['secrets'] is secrets\n"
+        "assert sys.modules['numpy.random.bit_generator'].randbits is secrets.randbits\n"
+    )
+
+
+def test_no_command_imports_numpy_random_scipy_special_or_secrets():
     # every subcommand and the symbol-power measurement, in one process that
-    # has imported neither package: a later np.random.<name> or
-    # scipy.special.<name> on any of these paths would import it
+    # has imported none of them: a later np.random.<name> or
+    # scipy.special.<name> on any of these paths would import the package,
+    # and with numpy.random's, secrets and OpenSSL (hashlib, _hashlib)
     root = pathlib.Path(__file__).resolve().parent.parent
     reference = root / "data" / "deepcode_reference_sample.csv"
     runs = [
@@ -313,6 +345,7 @@ def test_no_command_imports_numpy_random_or_scipy_special():
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
         "measure_symbol_power(SkConfig(k=2, n_total=6, feedback_snr_db=20.0), 20, [1, 5])\n"
-        "for name in ('numpy.random', 'numpy.random.mtrand', 'scipy.special'):\n"
+        "for name in ('numpy.random', 'numpy.random.mtrand', 'scipy.special',\n"
+        "             'secrets', 'hmac', 'hashlib', '_hashlib'):\n"
         "    assert name not in sys.modules, name + ' was imported'\n"
     )

@@ -375,14 +375,14 @@ def test_a_stop_drops_noise_a_half_block_ahead_at_most_and_leaves_no_thread(stop
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_cell_holds_two_budgeted_blocks_of_noise(cfg, trials, stop_at_errors, ran, block,
                                                    workers):
-    # the block in flight and the next one, each one float64 forward-noise
-    # array of block x n_total: half a chunk up to 128 uses, halved past
-    # the 16 MiB budget down to two noise parts; two conversion tiles on
-    # each worker (a tile's Philox words and their uniforms); and 2 MiB
-    # for the recursion state and the message labels
+    # the block in flight and, at two workers, the next one, each one
+    # float64 forward-noise array of block x n_total: half a chunk up to
+    # 128 uses, halved past the 16 MiB budget down to two noise parts; two
+    # conversion tiles on each worker (a tile's Philox words and their
+    # uniforms); and 2 MiB for the recursion state and the message labels
     assert schedule(cfg).halt == cfg.n_total  # so the noise is derived
     tiles = 2 * channel._TILE_WORDS * 8
-    bound = 2 * block * cfg.n_total * 8 + workers * tiles + 2 * 2**20
+    bound = min(workers, 2) * block * cfg.n_total * 8 + workers * tiles + 2 * 2**20
     with _threads(workers):
         tracemalloc.start()  # counts numpy's arrays as well as Python objects
         try:
