@@ -25,7 +25,7 @@ from .core import (  # noqa: F401
     SkVariant,
     pam_step,
 )
-from .precision import PrecisionMode, quantize  # noqa: F401
+from .precision import quantize  # noqa: F401
 from .codec import analytic_ber_oracle  # noqa: F401
 from .engine import (  # noqa: F401
     estimate_ber,

@@ -113,7 +113,7 @@ _FLAGS = {
     ),
     "--precision": dict(
         dest="precision_bits", metavar="PRECISION", type=_width,
-        default=_DEFAULT.precision.width,
+        default=_DEFAULT.precision_bits,
         help=f"emulated arithmetic width: {', '.join(map(str, WIDTHS))} (default: %(default)s)",
     ),
     "--precisions": dict(

@@ -18,9 +18,10 @@ signal U_n:
 
 The two are algebraically identical at infinite precision with noiseless
 feedback but accumulate rounding differently, which is exactly what the
-precision experiments measure.  All state arithmetic is routed through
-the configured PrecisionMode; channel noise is drawn at full precision
-and receipt of a channel output rounds it into the state's precision.
+precision experiments measure.  All state arithmetic is rounded to the
+configured width, ``SkConfig.precision_bits``; channel noise is drawn at
+full precision and receipt of a channel output rounds it into the
+state's precision.
 A noiseless link has no channel (None): forward, the receiver gets the
 symbol sent; as feedback, the transmitter's copy is the receiver's.
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import channel as _channel
 from .core import BitMapping, SkConfig, SkVariant, pam_step, value_to_index
-from .precision import quantize
+from .precision import PrecisionMode, quantize
 
 ndtr = _channel.ufuncs.ndtr
 
@@ -57,10 +58,10 @@ SIGNAL_POWER = 1.0  # per-symbol power constraint P
 class Schedule:
     """Per-step scaling constants shared by transmitter and receiver.
 
-    Derived from the configuration alone (never from trial data), under
-    the configured precision: alpha[n] scales the error signal to the
-    per-use power budget, beta[n] is the linear MMSE gain
-    alpha_n * u_var_n / (P_rest + sigma^2), and u_var[n] is the tracked
+    Derived from the configuration alone (never from trial data), in
+    ``mode``, the format of the configured width: alpha[n] scales the
+    error signal to the per-use power budget, beta[n] is the linear MMSE
+    gain alpha_n * u_var_n / (P_rest + sigma^2), and u_var[n] is the tracked
     Var(U_n) before the step-n correction (u_var[n_total] is terminal).
 
     ``halt`` is the first step whose alpha is not finite (n_total if
@@ -72,6 +73,7 @@ class Schedule:
     trial sends 0.
     """
 
+    mode: PrecisionMode
     sqrt_gamma: np.ndarray  # 0-d
     alpha: np.ndarray
     beta: np.ndarray
@@ -93,7 +95,7 @@ def residual_power(cfg: SkConfig) -> float:
 @functools.lru_cache(maxsize=128)
 def schedule(cfg: SkConfig) -> Schedule:
     """Precompute alpha/beta/u_var for every step of ``cfg``."""
-    mode = cfg.precision
+    mode = PrecisionMode(cfg.precision_bits)
     n = cfg.n_total
     alpha = np.full(n, np.nan)
     beta = np.full(n, np.nan)
@@ -110,7 +112,7 @@ def schedule(cfg: SkConfig) -> Schedule:
             alpha[1:] = 0.0
             beta[1:] = 0.0
             u_var[1:] = 0.0
-            return Schedule(sqrt_gamma, alpha, beta, u_var, n)
+            return Schedule(mode, sqrt_gamma, alpha, beta, u_var, n)
 
         denom = quantize(p_rest + sigma2, mode)
         ratio = quantize(sigma2 / denom, mode)
@@ -121,7 +123,7 @@ def schedule(cfg: SkConfig) -> Schedule:
             u_var[i + 1] = quantize(u_var[i] * ratio, mode)
     overflowed = np.flatnonzero(~np.isfinite(alpha[1:]))
     halt = int(overflowed[0]) + 1 if overflowed.size else n
-    return Schedule(sqrt_gamma, alpha, beta, u_var, halt)
+    return Schedule(mode, sqrt_gamma, alpha, beta, u_var, halt)
 
 
 @dataclass
@@ -161,8 +163,8 @@ def sk_init(theta, cfg: SkConfig, channels) -> SkState:
     trial).  ``channels`` is the (forward, feedback) pair from
     :func:`skfb.channel.make_channels`; either is None when noiseless.
     """
-    mode = cfg.precision
     sched = schedule(cfg)
+    mode = sched.mode
     forward, feedback = channels
 
     sqrt_gamma = sched.sqrt_gamma
@@ -209,8 +211,8 @@ def sk_step(state: SkState, cfg: SkConfig, channels) -> SkState:
         raise ValueError(
             f"all {cfg.n_total} channel uses already consumed (step={state.step})"
         )
-    mode = cfg.precision
     sched = schedule(cfg)
+    mode = sched.mode
     forward, feedback = channels
     alpha = float(sched.alpha[n])
     beta = float(sched.beta[n])

@@ -13,12 +13,12 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import snr_db_error
-from .precision import PrecisionMode
+from .precision import width_error
 
 MAX_K = 64  # message indices must fit an unsigned 64-bit integer
 
@@ -53,7 +53,8 @@ class SkConfig:
     transmission (1.0 = uniform); the total energy over the block is held
     at n_total * P, so the remaining uses share the residual equally.
     ``feedback_snr_db = inf`` means noiseless feedback (the transmitter
-    sees the receiver's values exactly).
+    sees the receiver's values exactly).  ``precision_bits`` is the width
+    every state update is rounded to, one of ``precision.WIDTHS``.
     """
 
     variant: SkVariant = SkVariant.ESTIMATE_DIFFERENCE
@@ -61,7 +62,7 @@ class SkConfig:
     n_total: int | None = None
     forward_snr_db: float = 0.0
     feedback_snr_db: float = math.inf
-    precision: PrecisionMode = field(default_factory=PrecisionMode)
+    precision_bits: int = 64
     gamma: float = 1.0
     seed: int = 0
     bit_mapping: BitMapping = BitMapping.NATURAL
@@ -69,7 +70,7 @@ class SkConfig:
     def __post_init__(self):
         if self.n_total is None and isinstance(self.k, numbers.Integral):
             object.__setattr__(self, "n_total", 3 * self.k)
-        for name in ("k", "n_total", "seed"):
+        for name in ("k", "n_total", "precision_bits", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -79,11 +80,7 @@ class SkConfig:
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             object.__setattr__(self, name, float(value))
-        for name, kind in (
-            ("variant", SkVariant),
-            ("precision", PrecisionMode),
-            ("bit_mapping", BitMapping),
-        ):
+        for name, kind in (("variant", SkVariant), ("bit_mapping", BitMapping)):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(
                     f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}"
@@ -92,6 +89,8 @@ class SkConfig:
             raise ValueError(f"k must be in [1, {MAX_K}], got {self.k}")
         if self.n_total < 1:
             raise ValueError(f"n_total must be >= 1, got {self.n_total}")
+        if why := width_error(self.precision_bits):
+            raise ValueError(f"precision_bits {why}, got {self.precision_bits}")
         for name in ("forward_snr_db", "feedback_snr_db"):
             snr = getattr(self, name)
             if why := snr_db_error(snr):

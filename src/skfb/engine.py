@@ -36,7 +36,6 @@ import numpy as np
 from . import channel as _channel
 from . import codec as _codec
 from .core import SkConfig, index_of_label, index_to_value, label_of_index, popcount_u64
-from .precision import PrecisionMode
 from .records import BestKRecord, GammaRecord, PhaseRecord, RunRecord, config_columns
 
 CHUNK_TRIALS = 1 << 15  # fixed so results never depend on worker layout
@@ -338,9 +337,12 @@ def sweep_precision_grid(base_cfg: SkConfig, precisions, k_range, reference: dic
     BER; a cell whose key it lacks is ``unavailable``.  A repeated width
     or K is dropped: each keeps its first position.
     """
-    modes = _distinct("precisions", (PrecisionMode(bits) for bits in precisions))
+    # SkConfig checks every entry, a repeated one too
+    widths = _distinct("precisions", (
+        replace(base_cfg, precision_bits=bits).precision_bits for bits in precisions
+    ))
     k_values = _distinct("k_range", k_range)
-    groups = [((_DOMAIN_PRECISION, mode.width), dict(precision=mode)) for mode in modes]
+    groups = [((_DOMAIN_PRECISION, bits), dict(precision_bits=bits)) for bits in widths]
     rows = []
     for runs in _run_sweep(base_cfg, k_values, groups, rate, trials, stop_at_errors):
         ref = reference.get((runs[0].precision_bits, base_cfg.feedback_snr_db))

@@ -35,8 +35,8 @@ WIDTHS = tuple(_FORMATS)  # the supported widths, ascending
 
 
 def width_error(width) -> str | None:
-    """Why ``PrecisionMode``, the command-line tool and the reference
-    table refuse a width, or None."""
+    """Why ``SkConfig``'s ``precision_bits``, the command-line tool, the
+    reference table and ``PrecisionMode`` refuse a width, or None."""
     if not isinstance(width, numbers.Integral) or isinstance(width, bool):
         return "must be an integer"
     if width not in _FORMATS:
@@ -46,8 +46,8 @@ def width_error(width) -> str | None:
 
 @dataclass(frozen=True)
 class PrecisionMode:
-    """Arithmetic emulation policy for one bit width, an integer in
-    ``WIDTHS``; it is stored as ``int``."""
+    """The format ``quantize`` rounds to: one bit width, an integer in
+    ``WIDTHS``, stored as ``int``."""
 
     width: int = 64
 

@@ -9,13 +9,14 @@ shortest round-trip form, infinity as ``inf``; lines end with LF.
 from __future__ import annotations
 
 import csv
+import enum
 import io
 from dataclasses import dataclass, fields
 
 from . import __version__
 from .channel import snr_db_error
-from .core import BitMapping, SkConfig, SkVariant
-from .precision import PrecisionMode, width_error
+from .core import SkConfig
+from .precision import width_error
 
 
 @dataclass(frozen=True)
@@ -87,36 +88,25 @@ class GammaRecord:
 
 
 def config_columns(cfg: SkConfig, record_type) -> dict:
-    """The config columns ``record_type`` declares, filled from ``cfg``;
-    the inverse of :func:`config_from_record`."""
-    columns = {
-        "variant": cfg.variant.value,
-        "k": cfg.k,
-        "n_total": cfg.n_total,
-        "forward_snr_db": cfg.forward_snr_db,
-        "feedback_snr_db": cfg.feedback_snr_db,
-        "precision_bits": cfg.precision.width,
-        "gamma": cfg.gamma,
-        "seed": cfg.seed,
-        "bit_mapping": cfg.bit_mapping.value,
-    }
+    """The config columns ``record_type`` declares, filled from ``cfg``,
+    an enum as its value; the inverse of :func:`config_from_record`."""
+    columns = {}
+    for f in fields(SkConfig):
+        value = getattr(cfg, f.name)
+        columns[f.name] = value.value if isinstance(value, enum.Enum) else value
     return {f.name: columns[f.name] for f in fields(record_type) if f.name in columns}
-
-
-# the column and type of each SkConfig field not written as its own value
-_CONVERTED = {"variant": ("variant", SkVariant), "precision": ("precision_bits", PrecisionMode),
-              "bit_mapping": ("bit_mapping", BitMapping)}
 
 
 def config_from_record(rec) -> SkConfig:
     """The configuration the config columns of ``rec`` describe: a record
     is rebuilt exactly as it was produced, the command-line tool's parsed
-    flags give their cell.  A column ``rec`` lacks keeps SkConfig's default."""
+    flags give their cell.  A column ``rec`` lacks keeps SkConfig's default;
+    a field whose default is an enum reads its column as that enum's value."""
     cfg = {}
     for f in fields(SkConfig):
-        column, kind = _CONVERTED.get(f.name, (f.name, None))
-        if hasattr(rec, column):
-            cfg[f.name] = kind(getattr(rec, column)) if kind else getattr(rec, column)
+        if hasattr(rec, f.name):
+            value = getattr(rec, f.name)
+            cfg[f.name] = type(f.default)(value) if isinstance(f.default, enum.Enum) else value
     return SkConfig(**cfg)
 
 
@@ -163,7 +153,7 @@ class ReferenceTableError(ValueError):
 def read_reference_table(path) -> dict[tuple[int, float], float]:
     """Load and validate a baseline CSV as ``{(precision_bits,
     feedback_snr_db): reference_ber}``; widths and SNRs are checked by the
-    rules of ``PrecisionMode`` and ``SkConfig``."""
+    rules ``SkConfig`` applies to ``precision_bits`` and the SNR fields."""
     rows: dict[tuple[int, float], float] = {}
     first_line: dict[tuple[int, float], int] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:  # a BOM is dropped

@@ -25,7 +25,6 @@ from skfb.engine import (
     sweep_block_length,
     sweep_feedback_snr,
 )
-from skfb.precision import PrecisionMode
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
@@ -95,7 +94,7 @@ def test_criterion_3_precision_cliff_and_variant_ordering():
 def test_criterion_4_precision_monotonicity():
     bers = {}
     for bits in (8, 16, 32, 64):
-        cfg = SkConfig(k=30, n_total=90, precision=PrecisionMode(bits), seed=404)
+        cfg = SkConfig(k=30, n_total=90, precision_bits=bits, seed=404)
         bers[bits] = estimate_ber(cfg, 100_000).ber
     ok = (
         bers[8] >= bers[16] >= bers[32] >= bers[64]

@@ -22,7 +22,6 @@ from skfb import channel, precision
 from skfb.cli import main
 from skfb.core import SkConfig
 from skfb.engine import estimate_ber
-from skfb.precision import PrecisionMode
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -71,7 +70,7 @@ def test_every_probe_runs_under_the_tracer():
     # a probe that reads a renamed attribute loses its counts without
     # failing the run; small cells at every width, one with a noisy
     # feedback link, reach every traced function
-    cells = [SkConfig(k=2, n_total=6, precision=PrecisionMode(width), seed=width)
+    cells = [SkConfig(k=2, n_total=6, precision_bits=width, seed=width)
              for width in precision.WIDTHS]
     cells.append(SkConfig(k=2, n_total=6, feedback_snr_db=20.0, seed=1))
     with _TRACING.Tracer() as tracer:

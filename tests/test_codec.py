@@ -16,7 +16,6 @@ from skfb.channel import (
     snr_db_to_noise_std,
     standard_normals,
 )
-from skfb.precision import PrecisionMode
 from skfb.codec import (
     adjacent_bitflip_total,
     analytic_ber_oracle,
@@ -48,7 +47,7 @@ def reference_sk(theta, z_fwd, z_fb, cfg):
     Independent of the array implementation: straight-line Python floats,
     one trial, same operation order.  Returns the terminal estimate.
     """
-    assert cfg.precision.width == 64
+    assert cfg.precision_bits == 64
     sigma = 10.0 ** (-cfg.forward_snr_db / 20.0) if cfg.forward_snr_db != math.inf else 0.0
     sigma_fb = (
         10.0 ** (-cfg.feedback_snr_db / 20.0) if cfg.feedback_snr_db != math.inf else 0.0
@@ -202,7 +201,7 @@ def test_aliased_copy_matches_zero_noise_feedback(variant, bits):
     # estimate.  A finite-SNR feedback channel whose noise is all zero
     # takes the unaliased path (round the fed-back value, update the copy
     # with its own multiply and subtract) and must give the same trials.
-    cfg = SkConfig(variant=variant, k=6, n_total=30, precision=PrecisionMode(bits), seed=bits)
+    cfg = SkConfig(variant=variant, k=6, n_total=30, precision_bits=bits, seed=bits)
     n_trials = 2000
     forward, noiseless = make_channels(cfg, 0, n_trials)
     assert noiseless is None
@@ -235,7 +234,7 @@ def test_noiseless_feedback_does_not_pass_through_the_feedback_channel(variant, 
     # noiseless feedback has no channel: every use transmits through the
     # forward one alone, and the transmitter's copy is the receiver's own
     # estimate; k=6, n=30 at 8 bits halts at use 11, so failed trials too
-    cfg = SkConfig(variant=variant, k=6, n_total=30, precision=PrecisionMode(bits), seed=bits)
+    cfg = SkConfig(variant=variant, k=6, n_total=30, precision_bits=bits, seed=bits)
     n_trials = 1000
     forward, feedback = make_channels(cfg, 0, n_trials)
     assert feedback is None
@@ -263,7 +262,7 @@ def test_transmit_runs_once_per_use_per_noisy_role(bits, variant, forward_snr_db
     # through; k=6, n=30 at 8 bits halts at use 11 with a noisy forward
     # channel, so failed trials are covered too
     cfg = SkConfig(variant=variant, k=6, n_total=30, forward_snr_db=forward_snr_db,
-                   feedback_snr_db=feedback_snr_db, precision=PrecisionMode(bits), seed=bits)
+                   feedback_snr_db=feedback_snr_db, precision_bits=bits, seed=bits)
     n_trials = 1000
     channels = make_channels(cfg, 0, n_trials)
     assert [ch is None for ch in channels] == [forward_snr_db == math.inf,
@@ -290,7 +289,7 @@ def test_transmit_runs_once_per_use_per_noisy_role(bits, variant, forward_snr_db
 
 def test_schedule_halt_is_the_first_overflowing_alpha():
     def halt(bits, n, snr=0.0):
-        return schedule(SkConfig(k=1, n_total=n, forward_snr_db=snr, precision=PrecisionMode(bits))).halt
+        return schedule(SkConfig(k=1, n_total=n, forward_snr_db=snr, precision_bits=bits)).halt
 
     # at 0 dB alpha becomes inf at step 11 in 8-bit and 26 in 16-bit
     assert halt(8, 24) == 11
@@ -300,7 +299,7 @@ def test_schedule_halt_is_the_first_overflowing_alpha():
     assert halt(64, 150) == 150
     assert halt(8, 11) == 11
     assert halt(8, 24, snr=math.inf) == 24  # noiseless forward: alpha is 0
-    sched = schedule(SkConfig(k=1, n_total=24, precision=PrecisionMode(8)))
+    sched = schedule(SkConfig(k=1, n_total=24, precision_bits=8))
     assert np.all(np.isfinite(sched.alpha[1:11])) and not np.isfinite(sched.alpha[11])
 
 
@@ -354,7 +353,7 @@ def test_a_trial_failing_mid_block_sends_zero_and_leaves_the_others(bits, varian
                                                                      feedback_snr_db):
     # k=3, n=9 is healthy at every width (8-bit alpha overflows at use 11)
     cfg = SkConfig(variant=variant, k=3, n_total=9, feedback_snr_db=feedback_snr_db,
-                   precision=PrecisionMode(bits), seed=bits)
+                   precision_bits=bits, seed=bits)
     n_trials, bad, inject_after = 64, 5, 3
     noise = standard_normals(cfg.seed, ROLE_FORWARD, 0, n_trials, cfg.n_total).copy()
     noise[:, inject_after + 1:] = 0.0
@@ -419,7 +418,7 @@ def test_an_infinite_forward_variate_fails_its_trial_alone(bits, variant, use, f
     # the largest Philox word gives z = +inf (test_channel); with a noisy
     # feedback link the block used to abort ("channel input must be finite")
     cfg = SkConfig(variant=variant, k=2, n_total=6, feedback_snr_db=feedback_snr_db,
-                   precision=PrecisionMode(bits), seed=bits)
+                   precision_bits=bits, seed=bits)
     n_trials, bad = 64, 9
     theta = index_to_value(message_indices(cfg.seed, 0, n_trials, cfg.k), cfg.k)
     forward, feedback = make_channels(cfg, 0, n_trials)

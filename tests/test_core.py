@@ -17,7 +17,6 @@ from skfb.core import (
     popcount_u64,
     value_to_index,
 )
-from skfb.precision import PrecisionMode
 
 RNG = np.random.default_rng(77)
 
@@ -148,7 +147,7 @@ def test_config_defaults_and_validation():
     assert cfg.n_total == 21
     assert cfg.rate == pytest.approx(1.0 / 3.0)
     assert cfg.feedback_snr_db == math.inf
-    assert cfg.precision == PrecisionMode(64)
+    assert cfg.precision_bits == 64
     with pytest.raises(ValueError):
         SkConfig(k=0)
     with pytest.raises(ValueError):
@@ -178,7 +177,7 @@ def test_config_defaults_and_validation():
         ("k", dict(k=2.5)),
         ("k", dict(k=True)),
         ("n_total", dict(n_total=6.0)),
-        ("precision", dict(precision=16)),
+        ("precision_bits", dict(precision_bits=12)),
         ("variant", dict(variant="estimate-diff")),
         ("bit_mapping", dict(bit_mapping="gray")),
         ("gamma", dict(gamma="2")),
@@ -192,6 +191,9 @@ def test_config_defaults_and_validation():
         ("forward_snr_db", dict(forward_snr_db=-3082.6)),
         ("feedback_snr_db", dict(feedback_snr_db=-3100.0)),
         ("feedback_snr_db", dict(feedback_snr_db=-7000.0)),
+        ("precision_bits", dict(precision_bits=16.0)),
+        ("precision_bits", dict(precision_bits=True)),
+        ("precision_bits", dict(precision_bits="16")),
     ],
 )
 def test_config_refusals_name_the_field(field, overrides):

@@ -119,13 +119,13 @@ def _hand_loop(cfg, hi, lo=0):
     labels = message_indices(cfg.seed, lo, hi, cfg.k)
     theta = index_to_value(index_of_label(labels, cfg.bit_mapping), cfg.k)
     channels = make_channels(cfg, lo, hi)
-    alpha = schedule(cfg).alpha
+    alpha, mode = schedule(cfg).alpha, PrecisionMode(cfg.precision_bits)
     state = sk_init(theta, cfg, channels)
     power = {}
     for _ in range(cfg.n_total - 1):
         state = sk_step(state, cfg, channels)
         with np.errstate(invalid="ignore", over="ignore"):
-            x = quantize(float(alpha[state.step]) * state.u, cfg.precision)
+            x = quantize(float(alpha[state.step]) * state.u, mode)
         x = np.where(state.failed | ~np.isfinite(x), 0.0, x)
         power[state.step] = (float(np.sum(x * x)), float(np.sum(x**4)))
     idx, failed = decode_indices(state, cfg)
@@ -134,16 +134,16 @@ def _hand_loop(cfg, hi, lo=0):
 
 
 _HALTING = [
-    SkConfig(k=8, n_total=24, precision=PrecisionMode(8), seed=1),
-    SkConfig(k=14, n_total=42, precision=PrecisionMode(16), seed=2,
+    SkConfig(k=8, n_total=24, precision_bits=8, seed=1),
+    SkConfig(k=14, n_total=42, precision_bits=16, seed=2,
              variant=SkVariant.ERROR_RECURSION, bit_mapping=BitMapping.GRAY),
     SkConfig(k=4, n_total=30, forward_snr_db=10.0, feedback_snr_db=20.0,
-             precision=PrecisionMode(16), seed=3),
+             precision_bits=16, seed=3),
     SkConfig(k=1, n_total=1300, seed=4),
 ]
 
 
-@pytest.mark.parametrize("cfg", _HALTING, ids=lambda c: f"w{c.precision.width}-n{c.n_total}")
+@pytest.mark.parametrize("cfg", _HALTING, ids=lambda c: f"w{c.precision_bits}-n{c.n_total}")
 def test_halted_chunks_match_a_hand_loop_over_every_use(cfg):
     assert schedule(cfg).halt < cfg.n_total
     trials = 300
@@ -156,11 +156,11 @@ def test_halted_chunks_match_a_hand_loop_over_every_use(cfg):
     assert est.failed_trials == trials
 
 
-_HEALTHY = SkConfig(k=8, n_total=24, precision=PrecisionMode(16), seed=1)
+_HEALTHY = SkConfig(k=8, n_total=24, precision_bits=16, seed=1)
 
 
 @pytest.mark.parametrize(
-    "cfg", [*_HALTING, _HEALTHY], ids=lambda c: f"w{c.precision.width}-n{c.n_total}"
+    "cfg", [*_HALTING, _HEALTHY], ids=lambda c: f"w{c.precision_bits}-n{c.n_total}"
 )
 def test_only_cells_that_reach_the_last_use_derive_noise(cfg):
     # a halting cell is decided by its labels; a healthy one needs its noise
@@ -176,7 +176,7 @@ def test_only_cells_that_reach_the_last_use_derive_noise(cfg):
 
 
 @pytest.mark.parametrize("cfg, chunk", [
-    *(pytest.param(c, None, id=f"w{c.precision.width}-n{c.n_total}") for c in _HALTING[:3]),
+    *(pytest.param(c, None, id=f"w{c.precision_bits}-n{c.n_total}") for c in _HALTING[:3]),
     pytest.param(_HALTING[2], 128, id="w16-n30-blocks"),
 ])
 def test_symbol_power_past_the_halt_matches_a_hand_loop(cfg, chunk):
@@ -791,7 +791,7 @@ def test_measure_symbol_power_steps_each_chunk_to_its_last_step(steps):
 
 
 def test_symbol_power_does_not_depend_on_the_worker_count():
-    cfg = SkConfig(k=3, n_total=9, feedback_snr_db=25.0, precision=PrecisionMode(16), seed=5)
+    cfg = SkConfig(k=3, n_total=9, feedback_snr_db=25.0, precision_bits=16, seed=5)
     powers = []
     with mock.patch.object(engine, "CHUNK_TRIALS", 64):
         for workers in (1, 2, 3):
@@ -843,7 +843,7 @@ def test_every_constructible_config_gives_valid_counts(
             n_total=n_total,
             forward_snr_db=forward_snr_db,
             feedback_snr_db=feedback_snr_db,
-            precision=PrecisionMode(bits),
+            precision_bits=bits,
             gamma=gamma,
             seed=seed,
             bit_mapping=bit_mapping,

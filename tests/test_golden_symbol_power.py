@@ -17,7 +17,6 @@ from unittest import mock
 from skfb import engine
 from skfb.core import SkConfig, SkVariant
 from skfb.engine import measure_symbol_power
-from skfb.precision import PrecisionMode
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "symbol_power.json"
 TRIALS = 300
@@ -28,14 +27,14 @@ def _cells() -> dict[str, SkConfig]:
     cells = {
         f"{variant.value}-w{bits}-fb{fb}": SkConfig(
             variant=variant, k=3, n_total=9, feedback_snr_db=fb,
-            precision=PrecisionMode(bits), seed=bits,
+            precision_bits=bits, seed=bits,
         )
         for variant in SkVariant
         for bits in (8, 16, 32, 64)
         for fb in (math.inf, 25.0)
     }
     # alpha overflows at use 11, so every trial sends 0 from there on
-    cells["halting-w8-k8-n24"] = SkConfig(k=8, n_total=24, precision=PrecisionMode(8), seed=1)
+    cells["halting-w8-k8-n24"] = SkConfig(k=8, n_total=24, precision_bits=8, seed=1)
     return cells
 
 

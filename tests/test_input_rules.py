@@ -15,7 +15,8 @@ import pytest
 from skfb import channel, core, engine, precision
 from skfb.cli import main
 from skfb.core import SkConfig
-from skfb.engine import estimate_ber, measure_symbol_power, sweep_block_length
+from skfb.engine import (estimate_ber, measure_symbol_power, sweep_block_length,
+                         sweep_precision_grid)
 from skfb.precision import PrecisionMode
 from skfb.records import ReferenceTableError, read_reference_table
 
@@ -74,6 +75,10 @@ _SWEEP_K = ("sweep-k", "--k-min", "1", "--k-max", "2")
 CASES = [
     ("width", WIDTH, "width_error(12)", _rule(precision, "width_error", 12)),
     ("width", WIDTH, "PrecisionMode(12)", _library(lambda: PrecisionMode(12))),
+    ("width", WIDTH, "SkConfig(precision_bits=12)",
+     _library(lambda: SkConfig(precision_bits=12))),
+    ("width", WIDTH, "sweep_precision_grid 8,12",
+     _library(lambda: sweep_precision_grid(SkConfig(), [8, 12], [1], {}, trials=10))),
     ("width", WIDTH, "--precision 12", _cli("ber", "--precision", "12")),
     ("width", WIDTH, "--precisions 8,12",
      _cli("sweep-precision", "--k-min", "1", "--k-max", "1", "--reference", REFERENCE,

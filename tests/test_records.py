@@ -3,13 +3,13 @@
 import csv
 import io
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from skfb.core import SkConfig
-from skfb.engine import estimate_ber, sweep_precision_grid
+from skfb.core import BitMapping, SkConfig, SkVariant
+from skfb.engine import estimate_ber, sweep_feedback_snr, sweep_precision_grid
 from skfb.records import (
     ReferenceTableError,
     RunRecord,
@@ -95,6 +95,29 @@ def test_run_record_replay_reproduces_ber():
     est2 = estimate_ber(cfg2, rec.trials)
     assert est2.ber == rec.ber
     assert est2.bit_errors == rec.bit_errors
+    # every SkConfig field is a column of its own name, leading in order
+    names = [f.name for f in fields(SkConfig)]
+    assert list(row)[:len(names)] == names
+
+
+# every field away from its default, so a column the replay loses shows
+_EVERY_FIELD = SkConfig(variant=SkVariant.ERROR_RECURSION, k=3, n_total=12,
+                        forward_snr_db=3.0, feedback_snr_db=20.0, precision_bits=16,
+                        gamma=1.5, seed=31, bit_mapping=BitMapping.GRAY)
+
+
+@pytest.mark.parametrize("run", [
+    lambda cfg: estimate_ber(cfg, 4000),
+    lambda cfg: sweep_precision_grid(cfg, [16], [3], {}, trials=4000, rate=0.25)[0],
+    lambda cfg: sweep_feedback_snr(cfg, [20.0], [3], trials=4000, rate=0.25)[0],
+], ids=["RunRecord", "PhaseRecord", "BestKRecord"])
+def test_a_record_with_every_field_set_replays_to_its_bit_errors(run):
+    rec = run(_EVERY_FIELD)
+    assert rec.bit_errors > 0
+    cfg = config_from_record(rec)
+    # a sweep derives each cell's seed; every other field is the base's
+    assert replace(cfg, seed=_EVERY_FIELD.seed) == _EVERY_FIELD
+    assert estimate_ber(cfg, rec.trials).bit_errors == rec.bit_errors
 
 
 def _write_reference(tmp_path, text: str):
